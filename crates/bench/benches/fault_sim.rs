@@ -17,10 +17,9 @@
 
 use seceda_netlist::{alu_slice, random_circuit, ripple_adder, Netlist, RandomCircuitConfig};
 use seceda_sim::{fault::stuck_at_universe, FaultSim, Lane256, SimWord};
-use seceda_testkit::bench::target_dir;
+use seceda_testkit::bench::{target_dir, time_median};
 use seceda_testkit::json::Json;
 use seceda_testkit::rng::{Rng, SeedableRng, StdRng};
-use std::time::Instant;
 
 struct CaseResult {
     name: String,
@@ -40,20 +39,6 @@ fn random_patterns(nl: &Netlist, n: usize, seed: u64) -> Vec<Vec<bool>> {
     (0..n)
         .map(|_| (0..nl.inputs().len()).map(|_| rng.gen()).collect())
         .collect()
-}
-
-/// Median wall-clock time of `samples` runs of `f`; returns the median
-/// and the result of the last run.
-fn time_median<R>(samples: usize, mut f: impl FnMut() -> R) -> (u128, R) {
-    let mut times = Vec::with_capacity(samples);
-    let mut last = None;
-    for _ in 0..samples {
-        let start = Instant::now();
-        last = Some(std::hint::black_box(f()));
-        times.push(start.elapsed().as_nanos());
-    }
-    times.sort_unstable();
-    (times[times.len() / 2], last.expect("at least one sample"))
 }
 
 fn run_case(

@@ -15,9 +15,8 @@
 //! by `scripts/verify.sh`.
 
 use seceda_netlist::{parse_bench, random_circuit, write_bench, RandomCircuitConfig};
-use seceda_testkit::bench::target_dir;
+use seceda_testkit::bench::{target_dir, time_median};
 use seceda_testkit::json::Json;
-use std::time::Instant;
 
 struct CaseResult {
     name: String,
@@ -27,20 +26,6 @@ struct CaseResult {
     topo_ns: u128,
     gates_per_sec: f64,
     roundtrip_exact: bool,
-}
-
-/// Median wall-clock time of `samples` runs of `f`; returns the median
-/// and the result of the last run.
-fn time_median<R>(samples: usize, mut f: impl FnMut() -> R) -> (u128, R) {
-    let mut times = Vec::with_capacity(samples);
-    let mut last = None;
-    for _ in 0..samples {
-        let start = Instant::now();
-        last = Some(std::hint::black_box(f()));
-        times.push(start.elapsed().as_nanos());
-    }
-    times.sort_unstable();
-    (times[times.len() / 2], last.expect("at least one sample"))
 }
 
 fn run_case(name: &str, num_gates: usize, samples: usize) -> CaseResult {

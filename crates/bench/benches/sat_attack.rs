@@ -2,12 +2,13 @@
 //!
 //! Runs the oracle-guided SAT attack on XOR-locked hosts with growing
 //! key widths through both formulations — the from-scratch baseline
-//! ([`sat_attack_rebuild`], full CNF re-encode + fresh solver per DIP
-//! iteration) and the persistent-solver attack ([`sat_attack`], one
-//! encoding, learned clauses kept across the whole DIP loop) — and
-//! verifies that both walk the same number of DIP iterations and that
-//! both recovered keys are functionally correct before reporting the
-//! speedup.
+//! ([`sat_attack_rebuild`], the same AIG encoding rebuilt on a fresh
+//! formula + fresh solver per DIP iteration) and the persistent-solver
+//! attack ([`sat_attack`], one encoding, learned clauses kept across the
+//! whole DIP loop) — and verifies that both walk the same number of DIP
+//! iterations and that both recovered keys are functionally correct
+//! before reporting the speedup. Both formulations share one encoder, so
+//! the ratio measures solver persistence alone.
 //!
 //! Results go to stdout as a table and to `target/BENCH_sat_attack.json`
 //! (one JSON document, validated by the `check_json` bin in CI).
@@ -21,9 +22,8 @@ use seceda_lock::{
 };
 use seceda_netlist::{c17, random_circuit, Netlist, RandomCircuitConfig};
 use seceda_sat::Budget;
-use seceda_testkit::bench::target_dir;
+use seceda_testkit::bench::{target_dir, time_median};
 use seceda_testkit::json::Json;
-use std::time::Instant;
 
 struct CaseResult {
     name: String,
@@ -41,20 +41,6 @@ struct CaseResult {
     indeterminate: bool,
     /// Conflicts the suspended probe had spent at checkpoint time.
     budget_conflicts: u64,
-}
-
-/// Median wall-clock time of `samples` runs of `f`; returns the median
-/// and the result of the last run.
-fn time_median<R>(samples: usize, mut f: impl FnMut() -> R) -> (u128, R) {
-    let mut times = Vec::with_capacity(samples);
-    let mut last = None;
-    for _ in 0..samples {
-        let start = Instant::now();
-        last = Some(std::hint::black_box(f()));
-        times.push(start.elapsed().as_nanos());
-    }
-    times.sort_unstable();
-    (times[times.len() / 2], last.expect("at least one sample"))
 }
 
 fn key_is_correct(locked: &LockedNetlist, original: &Netlist, key: &[bool]) -> bool {

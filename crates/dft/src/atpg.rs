@@ -5,17 +5,19 @@
 //! faulty circuit, shared inputs, some output must differ). UNSAT proves
 //! the fault untestable (redundant logic).
 //!
-//! The miter is built *incrementally*: [`AtpgSolver`] encodes the good
-//! circuit exactly once and keeps one persistent solver across every
-//! fault. Each query appends only the fault's fan-out cone, gated on a
-//! fresh selector literal passed as an assumption, then retires the cone
-//! with a root-level unit — so learned clauses about the good circuit
-//! accumulate across the whole run instead of being rebuilt per fault.
+//! The miter is built *incrementally*: [`AtpgSolver`] lowers the good
+//! circuit into a structurally-hashed AIG exactly once and keeps one
+//! persistent solver across every fault. Each query re-lowers only the
+//! fault's fan-out cone ([`lower_fault_cone`]) and asks for its miter
+//! edge as a single assumption. Node clauses only define fresh
+//! variables, so nothing needs gating or retiring, and learned clauses
+//! about the good circuit accumulate across the whole run instead of
+//! being rebuilt per fault.
 
-use seceda_netlist::{NetId, Netlist, NetlistError};
+use seceda_netlist::{Netlist, NetlistError};
 use seceda_sat::{
-    encode_faulty_cone, encode_netlist, Budget, CnfBuilder, GatedCnf, Lit, NetlistEncoding,
-    SolveOutcome, Solver, StopReason,
+    lower_fault_cone, lower_netlist, output_edges, Aig, AigCnf, AigLit, Budget, SolveOutcome,
+    Solver, StopReason, Var,
 };
 use seceda_sim::{fault::stuck_at_universe, Fault, FaultKind, PackedFaultSim};
 use seceda_testkit::rng::{Rng, SeedableRng, StdRng};
@@ -42,54 +44,52 @@ pub enum FaultTestOutcome {
     /// output).
     Untestable,
     /// The per-fault budget ran out before the query was decided — the
-    /// industry-standard *aborted fault*. The solver stays usable; the
-    /// fault's clause group is retired, so later queries are unaffected.
+    /// industry-standard *aborted fault*. The solver stays usable, and
+    /// later queries are unaffected.
     Aborted(StopReason),
 }
 
-/// A persistent incremental ATPG engine: the good circuit is encoded
-/// once, and every fault query only appends that fault's selector-gated
-/// fan-out cone to the same live solver.
+/// A persistent incremental ATPG engine: the good circuit is lowered
+/// once, and every fault query only adds that fault's fan-out cone to
+/// the same AIG and live solver.
 pub struct AtpgSolver<'a> {
     nl: &'a Netlist,
     solver: Solver,
-    good: NetlistEncoding,
-    /// A literal constrained false at the root; stuck-at faults read it
-    /// (or its negation) as their faulty source value.
-    false_lit: Lit,
+    aig: Aig,
+    map: AigCnf,
+    input_vars: Vec<Var>,
+    /// The good circuit's edge for every net.
+    good: Vec<AigLit>,
+    good_outs: Vec<AigLit>,
 }
 
 impl<'a> AtpgSolver<'a> {
-    /// Encodes the good circuit into a fresh persistent solver.
+    /// Lowers the good circuit into a fresh persistent solver.
     ///
     /// # Errors
     ///
     /// Propagates encoding errors (cyclic netlists).
     pub fn new(nl: &'a Netlist) -> Result<Self, NetlistError> {
         let mut solver = Solver::new(0);
-        let good = encode_netlist(nl, &mut solver)?;
-        let f = solver.new_var();
-        solver.add_clause([f.neg()]);
+        let mut aig = Aig::new();
+        let map = AigCnf::new(&mut solver);
+        let (input_vars, inputs) = aig.fresh_inputs(nl.inputs().len(), &mut solver);
+        let (_, state) = aig.fresh_inputs(nl.dffs().len(), &mut solver);
+        let good = lower_netlist(nl, &mut aig, &inputs, &state)?;
         Ok(AtpgSolver {
             nl,
+            good_outs: output_edges(nl, &good),
             solver,
+            aig,
+            map,
+            input_vars,
             good,
-            false_lit: f.pos(),
         })
     }
 
-    /// The literal carrying the faulty value of `fault.net`.
-    fn faulty_source(&self, fault: Fault) -> Lit {
-        match fault.kind {
-            FaultKind::StuckAt0 => self.false_lit,
-            FaultKind::StuckAt1 => !self.false_lit,
-            FaultKind::BitFlip => self.good.vars[fault.net.index()].neg(),
-        }
-    }
-
     /// Generates a test for a single fault; `None` means proven
-    /// untestable (by structure when the fault reaches no output, by
-    /// UNSAT otherwise).
+    /// untestable (by structure when the fault's miter folds to constant
+    /// false, by UNSAT otherwise).
     ///
     /// # Errors
     ///
@@ -107,9 +107,8 @@ impl<'a> AtpgSolver<'a> {
 
     /// Budgeted [`AtpgSolver::generate_test`]: the sensitization query
     /// runs under `budget`, and exhaustion yields
-    /// [`FaultTestOutcome::Aborted`] instead of an answer. The aborted
-    /// fault's clause group is retired exactly like a decided one, so
-    /// the engine continues to the next fault with a consistent solver.
+    /// [`FaultTestOutcome::Aborted`] instead of an answer. The solver
+    /// stays consistent, so the engine continues to the next fault.
     ///
     /// # Errors
     ///
@@ -119,53 +118,27 @@ impl<'a> AtpgSolver<'a> {
         fault: Fault,
         budget: &Budget,
     ) -> Result<FaultTestOutcome, NetlistError> {
-        let faulty_source = self.faulty_source(fault);
-        let sel = self.solver.new_var();
-        let guard = sel.neg();
-        let cone = encode_faulty_cone(
-            self.nl,
-            &self.good,
-            fault.net,
-            faulty_source,
-            guard,
-            &mut self.solver,
-        )?;
-        if cone.is_empty() {
+        let faulty = match fault.kind {
+            FaultKind::StuckAt0 => AigLit::FALSE,
+            FaultKind::StuckAt1 => AigLit::TRUE,
+            FaultKind::BitFlip => !self.good[fault.net.index()],
+        };
+        let outs = lower_fault_cone(self.nl, &mut self.aig, &self.good, fault.net, faulty)?;
+        // sensitization requirement: some output must differ
+        let diff = self.aig.any_diff(self.good_outs.iter().copied().zip(outs));
+        if diff == AigLit::FALSE {
             // the fault reaches no primary output: untestable without a
             // single solver call
-            self.solver.add_clause([guard]);
             return Ok(FaultTestOutcome::Untestable);
         }
-        // gated sensitization requirement: some cone output must differ
-        let mut gated = GatedCnf::new(&mut self.solver, guard);
-        let mut diffs = Vec::new();
-        for &(k, flit) in &cone {
-            let d = gated.new_var().pos();
-            let good_out = self.good.output_vars[k].pos();
-            gated.gate_xor(d, good_out, flit);
-            diffs.push(d);
-        }
-        gated.add_clause(diffs);
-        let result = self.solver.solve_budgeted(&[sel.pos()], budget);
-        // retire this fault's clause group for good
-        self.solver.add_clause([guard]);
-        Ok(match result {
-            SolveOutcome::Sat(model) => FaultTestOutcome::Test(
-                self.good
-                    .input_vars
-                    .iter()
-                    .map(|v| model[v.index()])
-                    .collect(),
-            ),
+        let diff = self.map.lit_of(&self.aig, diff, &mut self.solver);
+        Ok(match self.solver.solve_budgeted(&[diff], budget) {
+            SolveOutcome::Sat(model) => {
+                FaultTestOutcome::Test(self.input_vars.iter().map(|v| model[v.index()]).collect())
+            }
             SolveOutcome::Unsat => FaultTestOutcome::Untestable,
             SolveOutcome::Indeterminate(reason) => FaultTestOutcome::Aborted(reason),
         })
-    }
-
-    /// The net a fault on `net` feeds, resolved through the good
-    /// encoding (introspection hook for coverage-style callers).
-    pub fn good_var_of(&self, net: NetId) -> seceda_sat::Var {
-        self.good.vars[net.index()]
     }
 }
 
@@ -329,8 +302,8 @@ mod tests {
             matches!(aborted, FaultTestOutcome::Aborted(_)),
             "a zero-propagation budget must abort: {aborted:?}"
         );
-        // the aborted fault's cone was retired; every later unbudgeted
-        // query must still agree with a fresh one-shot solver
+        // every later unbudgeted query must still agree with a fresh
+        // one-shot solver
         for &f in &faults {
             let shared = atpg.generate_test(f).expect("query").is_some();
             let fresh = generate_test_for(&nl, f).expect("query").is_some();

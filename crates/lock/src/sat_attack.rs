@@ -22,16 +22,16 @@
 //! machine's parallelism); every observable output — each DIP and the
 //! final key — is canonicalized to the lexicographically smallest
 //! satisfying assignment, so the attack's result is a property of the
-//! formula regardless of encoding, portfolio size, or worker count. The
+//! formula regardless of portfolio size or worker count. The
 //! rebuild-from-scratch baseline is kept as [`sat_attack_rebuild`]
-//! (direct Tseitin encoding, fresh solver per iteration) for
-//! differential testing and benchmarking.
+//! (the same AIG encoding re-built on a fresh formula and a fresh
+//! solver per iteration) for differential testing and benchmarking.
 
 use crate::locking::LockedNetlist;
 use seceda_netlist::NetlistError;
 use seceda_sat::{
-    encode_netlist, lower_netlist_bound, Aig, AigCnf, AigLit, Budget, Cnf, CnfBuilder, Lit,
-    Portfolio, SatResult, SolveOutcome, Solver, StopReason, Var,
+    lower_netlist, output_edges, Aig, AigCnf, AigLit, Budget, Cnf, CnfBuilder, Lit, Portfolio,
+    SatResult, SolveOutcome, Solver, StopReason, Var,
 };
 
 /// Outcome of a SAT attack.
@@ -48,9 +48,9 @@ pub struct SatAttackResult {
     /// Solver conflicts spent in each DIP iteration (the final entry is
     /// the key-extraction solve).
     pub conflict_deltas: Vec<u64>,
-    /// Problem clauses in the final solver state: for [`sat_attack`] the
-    /// AIG-encoded scaffold plus every observation copy; for
-    /// [`sat_attack_rebuild`] the last direct re-encoding.
+    /// Problem clauses in the final solver state: the AIG-encoded
+    /// scaffold plus every observation copy (for [`sat_attack_rebuild`],
+    /// the last re-encoding).
     pub clauses: usize,
     /// Number of racing portfolio members (1 for the rebuild baseline).
     pub portfolio_k: usize,
@@ -97,79 +97,12 @@ pub enum SatAttackOutcome {
     },
 }
 
-/// Encodes the attack scaffolding — two copies of the locked circuit
-/// sharing X but with independent keys, plus the difference miter — into
-/// any clause sink. Returns `(x_vars, k1_vars, k2_vars, diff_lit)`.
-#[allow(clippy::type_complexity)]
-fn encode_attack_scaffold<B: CnfBuilder>(
-    locked: &LockedNetlist,
-    sink: &mut B,
-) -> Result<(Vec<Var>, Vec<Var>, Vec<Var>, Lit), NetlistError> {
-    let nl = &locked.netlist;
-    let nx = locked.num_original_inputs;
-    let nk = locked.key_width();
-    let enc1 = encode_netlist(nl, sink)?;
-    let enc2 = encode_netlist(nl, sink)?;
-    // share functional inputs
-    for i in 0..nx {
-        sink.gate_buf(enc1.input_vars[i].pos(), enc2.input_vars[i].pos());
-    }
-    // diff literal over outputs
-    let mut diffs = Vec::new();
-    for (o1, o2) in enc1.output_vars.iter().zip(&enc2.output_vars) {
-        let d = sink.new_var().pos();
-        sink.gate_xor(d, o1.pos(), o2.pos());
-        diffs.push(d);
-    }
-    let diff = sink.new_var().pos();
-    for &d in &diffs {
-        sink.add_clause([diff, !d]);
-    }
-    let mut big = diffs;
-    big.push(!diff);
-    sink.add_clause(big);
-
-    let k1: Vec<_> = enc1.input_vars[nx..nx + nk].to_vec();
-    let k2: Vec<_> = enc2.input_vars[nx..nx + nk].to_vec();
-    let x_vars = enc1.input_vars[..nx].to_vec();
-    Ok((x_vars, k1, k2, diff))
-}
-
-/// Appends one observation `(x_hat, y_hat)` to the attack encoding: a
-/// fresh constrained circuit copy per key, with inputs pinned to `x_hat`,
-/// outputs pinned to `y_hat`, and key inputs tied to the key variables.
-fn encode_observation<B: CnfBuilder>(
-    locked: &LockedNetlist,
-    sink: &mut B,
-    k1: &[Var],
-    k2: &[Var],
-    x_hat: &[bool],
-    y_hat: &[bool],
-) -> Result<(), NetlistError> {
-    let nl = &locked.netlist;
-    let nx = locked.num_original_inputs;
-    for key_vars in [k1, k2] {
-        let enc = encode_netlist(nl, sink)?;
-        for (i, &xv) in x_hat.iter().enumerate() {
-            sink.add_clause([enc.input_vars[i].lit(xv)]);
-        }
-        for (j, kv) in key_vars.iter().enumerate() {
-            sink.gate_buf(enc.input_vars[nx + j].pos(), kv.pos());
-        }
-        for (o, &yv) in enc.output_vars.iter().zip(y_hat) {
-            sink.add_clause([o.lit(yv)]);
-        }
-    }
-    Ok(())
-}
-
 /// The persistent AIG-backed attack encoding state: one node table, one
 /// node→literal map, and the input nodes for X and both key copies, all
 /// shared across the scaffold and every observation copy.
 struct AigScaffold {
     aig: Aig,
     map: AigCnf,
-    const_false: Lit,
     x_vars: Vec<Var>,
     k1: Vec<Var>,
     k1_nodes: Vec<AigLit>,
@@ -181,42 +114,35 @@ struct AigScaffold {
 /// both keyed copies are lowered over the *same* X input nodes, so every
 /// key-independent cone is built (and encoded to CNF) exactly once, and
 /// the difference miter folds to constant-false for outputs the key
-/// cannot influence. `const_false` must already be pinned false in
-/// `sink`.
-fn encode_attack_scaffold_aig<B: CnfBuilder>(
+/// cannot influence.
+fn encode_attack_scaffold<B: CnfBuilder>(
     locked: &LockedNetlist,
-    const_false: Lit,
     sink: &mut B,
 ) -> Result<AigScaffold, NetlistError> {
     let nl = &locked.netlist;
     let nx = locked.num_original_inputs;
     let nk = locked.key_width();
     let mut aig = Aig::new();
-    let mut map = AigCnf::new(const_false);
-    let x_vars: Vec<Var> = (0..nx).map(|_| sink.new_var()).collect();
-    let k1: Vec<Var> = (0..nk).map(|_| sink.new_var()).collect();
-    let k2: Vec<Var> = (0..nk).map(|_| sink.new_var()).collect();
-    let x_nodes: Vec<AigLit> = x_vars.iter().map(|v| aig.input(v.pos())).collect();
-    let k1_nodes: Vec<AigLit> = k1.iter().map(|v| aig.input(v.pos())).collect();
-    let k2_nodes: Vec<AigLit> = k2.iter().map(|v| aig.input(v.pos())).collect();
-
-    let bind1: Vec<AigLit> = x_nodes.iter().chain(&k1_nodes).copied().collect();
-    let outs1 = lower_netlist_bound(nl, &mut aig, &bind1, sink)?;
-    let bind2: Vec<AigLit> = x_nodes.iter().chain(&k2_nodes).copied().collect();
-    let outs2 = lower_netlist_bound(nl, &mut aig, &bind2, sink)?;
-
+    let mut map = AigCnf::new(sink);
+    let (x_vars, x_nodes) = aig.fresh_inputs(nx, sink);
+    let (k1, k1_nodes) = aig.fresh_inputs(nk, sink);
+    let (_, k2_nodes) = aig.fresh_inputs(nk, sink);
+    let mut outs = Vec::with_capacity(2);
+    for key_nodes in [&k1_nodes, &k2_nodes] {
+        let inputs: Vec<AigLit> = x_nodes.iter().chain(key_nodes).copied().collect();
+        let (_, state) = aig.fresh_inputs(nl.dffs().len(), sink);
+        outs.push(output_edges(
+            nl,
+            &lower_netlist(nl, &mut aig, &inputs, &state)?,
+        ));
+    }
     // difference miter, folded in the AIG: key-independent outputs are
     // the same node in both copies and vanish as XOR(n, n) = false
-    let mut diff_edge = AigLit::FALSE;
-    for (&o1, &o2) in outs1.iter().zip(&outs2) {
-        let d = aig.xor(o1, o2);
-        diff_edge = aig.or(diff_edge, d);
-    }
+    let diff_edge = aig.any_diff(outs[0].iter().copied().zip(outs[1].iter().copied()));
     let diff = map.lit_of(&aig, diff_edge, sink);
     Ok(AigScaffold {
         aig,
         map,
-        const_false,
         x_vars,
         k1,
         k1_nodes,
@@ -225,15 +151,12 @@ fn encode_attack_scaffold_aig<B: CnfBuilder>(
     })
 }
 
-/// Appends one observation `(x_hat, y_hat)` with the functional inputs
-/// bound to constants and folded through the AIG: only the key-dependent
-/// cone survives as nodes, and of those only the nodes not already
-/// hash-consed by earlier iterations cost clauses. Semantically
-/// identical to [`encode_observation`] — both pin the same function of
-/// the key variables — which is what keeps the lex-min DIP transcript
-/// (and hence the iteration count) in exact agreement with the rebuild
-/// baseline.
-fn encode_observation_aig<B: CnfBuilder>(
+/// Appends one observation `(x_hat, y_hat)`: one circuit copy per key,
+/// with the functional inputs bound to constants and folded through the
+/// AIG, outputs pinned to `y_hat`. Only the key-dependent cone survives
+/// as nodes, and of those only the nodes not already hash-consed by
+/// earlier iterations cost clauses.
+fn encode_observation<B: CnfBuilder>(
     locked: &LockedNetlist,
     sc: &mut AigScaffold,
     sink: &mut B,
@@ -247,19 +170,20 @@ fn encode_observation_aig<B: CnfBuilder>(
         } else {
             &sc.k2_nodes
         };
-        let bindings: Vec<AigLit> = x_hat
+        let inputs: Vec<AigLit> = x_hat
             .iter()
             .map(|&b| AigLit::constant(b))
             .chain(key_nodes.iter().copied())
             .collect();
-        let outs = lower_netlist_bound(nl, &mut sc.aig, &bindings, sink)?;
-        for (&out, &yv) in outs.iter().zip(y_hat) {
+        let (_, state) = sc.aig.fresh_inputs(nl.dffs().len(), sink);
+        let nets = lower_netlist(nl, &mut sc.aig, &inputs, &state)?;
+        for (out, &yv) in output_edges(nl, &nets).into_iter().zip(y_hat) {
             match out.as_const() {
                 Some(b) => {
                     if b != yv {
                         // the observation contradicts a key-independent
                         // output; make the formula unsatisfiable
-                        sink.add_clause([sc.const_false]);
+                        sink.add_clause([sc.map.const_false()]);
                     }
                 }
                 None => {
@@ -273,19 +197,18 @@ fn encode_observation_aig<B: CnfBuilder>(
 }
 
 /// Builds the full attack CNF for a given observation set (the
-/// rebuild-per-iteration formulation). Returns
-/// `(cnf, x_vars, k1_vars, k2_vars, diff_lit)`.
-#[allow(clippy::type_complexity)]
+/// rebuild-per-iteration formulation): the same scaffold and
+/// observation encoding as [`sat_attack`], on a fresh formula.
 fn build_attack_cnf(
     locked: &LockedNetlist,
     observations: &[(Vec<bool>, Vec<bool>)],
-) -> Result<(Cnf, Vec<Var>, Vec<Var>, Vec<Var>, Lit), NetlistError> {
+) -> Result<(Cnf, AigScaffold), NetlistError> {
     let mut cnf = Cnf::new();
-    let (x_vars, k1, k2, diff) = encode_attack_scaffold(locked, &mut cnf)?;
+    let mut sc = encode_attack_scaffold(locked, &mut cnf)?;
     for (x_hat, y_hat) in observations {
-        encode_observation(locked, &mut cnf, &k1, &k2, x_hat, y_hat)?;
+        encode_observation(locked, &mut sc, &mut cnf, x_hat, y_hat)?;
     }
-    Ok((cnf, x_vars, k1, k2, diff))
+    Ok((cnf, sc))
 }
 
 /// Refines a satisfying model into the *lexicographically smallest*
@@ -414,10 +337,7 @@ pub fn sat_attack_budgeted(
     sp.attr("resumed", resume.is_some());
     let mut solver = Portfolio::from_env(0);
     sp.attr("portfolio_k", solver.k());
-    // a literal that is false in every model, for lowering AIG constants
-    let const_false = solver.new_var().pos();
-    solver.add_clause([!const_false]);
-    let mut sc = encode_attack_scaffold_aig(locked, const_false, &mut solver)?;
+    let mut sc = encode_attack_scaffold(locked, &mut solver)?;
     let diff = sc.diff;
     let mut observations: Vec<(Vec<bool>, Vec<bool>)> =
         resume.map(|c| c.observations.clone()).unwrap_or_default();
@@ -427,7 +347,7 @@ pub fn sat_attack_budgeted(
     // replay checkpointed observations into the fresh scaffold; the
     // hash-consed AIG reproduces the suspended run's formula exactly
     for (x_hat, y_hat) in &observations {
-        encode_observation_aig(locked, &mut sc, &mut solver, x_hat, y_hat)?;
+        encode_observation(locked, &mut sc, &mut solver, x_hat, y_hat)?;
     }
     // the fresh portfolio starts at zero conflicts, so its aggregate
     // counter IS this run's spent-conflict meter
@@ -485,7 +405,7 @@ pub fn sat_attack_budgeted(
                 seceda_trace::progress("lock.dip_iterations", iterations as u64);
                 conflict_deltas.push(solver.num_conflicts - before);
                 let y_hat = oracle(&x_hat);
-                encode_observation_aig(locked, &mut sc, &mut solver, &x_hat, &y_hat)?;
+                encode_observation(locked, &mut sc, &mut solver, &x_hat, &y_hat)?;
                 observations.push((x_hat, y_hat));
             }
             SolveOutcome::Unsat => {
@@ -600,15 +520,15 @@ pub fn sat_attack_rebuild(
     let mut conflicts = 0u64;
     let mut conflict_deltas: Vec<u64> = Vec::new();
     loop {
-        let (cnf, x_vars, _, _, diff) = build_attack_cnf(locked, &observations)?;
+        let (cnf, sc) = build_attack_cnf(locked, &observations)?;
         let mut solver = Solver::from_cnf(&cnf);
-        match solver.solve_with_assumptions(&[diff]) {
+        match solver.solve_with_assumptions(&[sc.diff]) {
             SatResult::Sat(model) => {
                 iterations += 1;
                 let x_hat = lex_min_model(
                     &mut |a| solver.solve_with_assumptions(a),
-                    &x_vars,
-                    &[diff],
+                    &sc.x_vars,
+                    &[sc.diff],
                     &model,
                 );
                 conflicts += solver.num_conflicts;
@@ -619,8 +539,8 @@ pub fn sat_attack_rebuild(
             SatResult::Unsat => {
                 conflicts += solver.num_conflicts;
                 conflict_deltas.push(solver.num_conflicts);
-                // no DIP left: extract any key satisfying all observations
-                let (cnf, _, k1, _, _) = build_attack_cnf(locked, &observations)?;
+                // no DIP left: extract any key satisfying all
+                // observations, on a fresh solver
                 let mut solver = Solver::from_cnf(&cnf);
                 return Ok(match solver.solve() {
                     SatResult::Sat(model) => {
@@ -630,7 +550,7 @@ pub fn sat_attack_rebuild(
                         // so the canonical keys agree bit-for-bit
                         let key = lex_min_model(
                             &mut |a| solver.solve_with_assumptions(a),
-                            &k1,
+                            &sc.k1,
                             &[],
                             &model,
                         );
@@ -839,15 +759,23 @@ G23 = NAND(G16, G19)
         let nl = c17();
         let locked = xor_lock(&nl, 8, 7);
         let oracle = |x: &[bool]| nl.evaluate(x);
-        let plain = sat_attack(&locked, oracle).expect("runs").expect("key");
-        match sat_attack_budgeted(&locked, oracle, &Budget::unlimited(), None).expect("runs") {
-            SatAttackOutcome::Complete(r) => {
-                assert_eq!(r.key, plain.key);
-                assert_eq!(r.iterations, plain.iterations);
-                assert_eq!(r.conflict_deltas, plain.conflict_deltas);
+        let run = || {
+            let plain = sat_attack(&locked, oracle).expect("runs").expect("key");
+            match sat_attack_budgeted(&locked, oracle, &Budget::unlimited(), None).expect("runs") {
+                SatAttackOutcome::Complete(r) => (plain, r),
+                other => panic!("expected completion, got {other:?}"),
             }
-            other => panic!("expected completion, got {other:?}"),
-        }
+        };
+        // at the default portfolio size: the canonical transcript agrees
+        let (plain, r) = run();
+        assert_eq!(r.key, plain.key);
+        assert_eq!(r.iterations, plain.iterations);
+        // conflict counts are the racing winner's, so they are only
+        // reproducible with a single member (one worker sizes it to 1)
+        let (plain, r) = seceda_testkit::par::with_workers(1, run);
+        assert_eq!(r.key, plain.key);
+        assert_eq!(r.iterations, plain.iterations);
+        assert_eq!(r.conflict_deltas, plain.conflict_deltas);
     }
 
     #[test]

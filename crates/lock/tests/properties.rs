@@ -5,9 +5,10 @@ use seceda_netlist::{parse_bench, random_circuit, RandomCircuitConfig};
 use seceda_testkit::par;
 use seceda_testkit::prelude::*;
 
-/// Differential check: the incremental AIG-encoded portfolio attack must
-/// take exactly as many DIP iterations as the direct-encoded
-/// rebuild-per-iteration baseline, recover the *bit-identical* key (both
+/// Differential check: the incremental portfolio attack must take
+/// exactly as many DIP iterations as the rebuild-per-iteration baseline
+/// (fresh formula and solver every iteration), recover the
+/// *bit-identical* key (both
 /// canonicalize to the lex-min key of the final observation set), and
 /// that key must be functionally correct.
 fn assert_incremental_matches_rebuild(locked: &LockedNetlist, original: &seceda_netlist::Netlist) {

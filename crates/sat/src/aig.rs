@@ -11,15 +11,22 @@
 //! re-consed as the single node `XOR(p, q)`, so XOR structure built out
 //! of raw ANDs and XOR structure lowered from explicit gates share.
 //!
-//! The payoff for the SAT attack: the two keyed circuit copies of the
-//! miter share every subcircuit that does not depend on the key (they
-//! read the same input nodes), and each is encoded to CNF exactly once.
-//! [`AigCnf`] keeps a persistent node→literal map, so incremental
-//! callers (the DIP loop) pay clauses only for nodes that are *new*
-//! since the last lowering.
+//! This is the workspace's only netlist→CNF path. Every SAT client
+//! lowers through [`lower_netlist`] and builds its query edge in the
+//! AIG: equivalence and the SAT attack compare two copies with
+//! [`Aig::any_diff`] (copies over shared input nodes share every
+//! subcircuit the difference does not depend on, and identical copies
+//! fold to [`AigLit::FALSE`] with no solve at all); ATPG and the formal
+//! detection proof re-lower one fault cone per query with
+//! [`lower_fault_cone`]; bounded model checking chains time frames
+//! through the state bindings. [`AigCnf`] keeps a persistent
+//! node→literal map, so incremental callers (the DIP loop, the per-fault
+//! loops) pay clauses only for nodes that are *new* since the last
+//! query. Node clauses only define fresh variables, so they never need
+//! to be retracted.
 
-use crate::cnf::{CnfBuilder, Lit};
-use seceda_netlist::{CellKind, Netlist, NetlistError};
+use crate::cnf::{CnfBuilder, Lit, Var};
+use seceda_netlist::{CellKind, NetId, Netlist, NetlistError};
 use std::collections::HashMap;
 
 /// An edge into the AIG: a node index plus a complement bit.
@@ -142,6 +149,28 @@ impl Aig {
         AigLit::new(n, !lit.is_positive())
     }
 
+    /// `n` input nodes over fresh variables of `sink`: the variables
+    /// (to read models back) and their edges.
+    pub fn fresh_inputs<B: CnfBuilder>(
+        &mut self,
+        n: usize,
+        sink: &mut B,
+    ) -> (Vec<Var>, Vec<AigLit>) {
+        let vars: Vec<Var> = (0..n).map(|_| sink.new_var()).collect();
+        let edges = vars.iter().map(|v| self.input(v.pos())).collect();
+        (vars, edges)
+    }
+
+    /// The miter edge "some pair differs": an OR of XORs. Pairs that
+    /// hash-cons to one node fold away, so a miter of structurally
+    /// identical circuits is [`AigLit::FALSE`] before any solving.
+    pub fn any_diff(&mut self, pairs: impl IntoIterator<Item = (AigLit, AigLit)>) -> AigLit {
+        pairs.into_iter().fold(AigLit::FALSE, |acc, (a, b)| {
+            let d = self.xor(a, b);
+            self.or(acc, d)
+        })
+    }
+
     /// `a AND b`, canonicalized and hash-consed.
     pub fn and(&mut self, a: AigLit, b: AigLit) -> AigLit {
         if a == AigLit::FALSE || b == AigLit::FALSE || a == !b {
@@ -253,13 +282,20 @@ pub struct AigCnf {
 }
 
 impl AigCnf {
-    /// A fresh map. `const_false` must be a literal the caller pinned
-    /// false (one variable plus one unit clause, allocated once).
-    pub fn new(const_false: Lit) -> Self {
+    /// A fresh map over `sink`, pinning one new variable false (one
+    /// unit clause) to lower the constant node.
+    pub fn new<B: CnfBuilder>(sink: &mut B) -> Self {
+        let const_false = sink.new_var().pos();
+        sink.add_clause([!const_false]);
         AigCnf {
             lits: Vec::new(),
             const_false,
         }
+    }
+
+    /// The literal pinned false in every model.
+    pub fn const_false(&self) -> Lit {
+        self.const_false
     }
 
     /// The CNF literal carrying edge `l`, emitting Tseitin clauses into
@@ -314,20 +350,16 @@ impl AigCnf {
             lit
         }
     }
-
-    /// How many nodes have been lowered to CNF so far.
-    pub fn num_lowered(&self) -> usize {
-        self.lits.iter().filter(|l| l.is_some()).count()
-    }
 }
 
-/// Lowers the combinational logic of `nl` into `aig` under *bound
-/// inputs*: `bindings[k]` is the AIG edge driving primary input *k*
-/// (a constant, an [`Aig::input`] node, or any internal edge). DFF
-/// outputs become fresh free variables allocated from `sink`, exactly
-/// as in [`crate::encode_netlist_bound`].
+/// Lowers the combinational logic of `nl` into `aig`. `inputs[k]` is the
+/// edge driving primary input *k* and `state[j]` the edge driving the
+/// output of the *j*-th DFF in [`Netlist::dffs`] order: a constant, an
+/// [`Aig::input`] node, or any internal edge (a free state variable,
+/// a reset value, or the previous time frame's next-state edge).
 ///
-/// Returns one edge per primary output, in port order; lower them with
+/// Returns the edge of every net, indexed by [`NetId::index`]; nets with
+/// no driver read [`AigLit::FALSE`]. Lower the edges a query needs with
 /// [`AigCnf::lit_of`] when (and only when) they are needed as literals.
 ///
 /// # Errors
@@ -336,27 +368,28 @@ impl AigCnf {
 ///
 /// # Panics
 ///
-/// Panics unless exactly one binding per primary input is given.
-pub fn lower_netlist_bound<B: CnfBuilder>(
+/// Panics unless exactly one binding per primary input and per DFF is
+/// given.
+pub fn lower_netlist(
     nl: &Netlist,
     aig: &mut Aig,
-    bindings: &[AigLit],
-    sink: &mut B,
+    inputs: &[AigLit],
+    state: &[AigLit],
 ) -> Result<Vec<AigLit>, NetlistError> {
     assert_eq!(
-        bindings.len(),
+        inputs.len(),
         nl.inputs().len(),
         "one binding per primary input"
     );
     let order = nl.topo_order()?;
+    let dffs = nl.dffs();
+    assert_eq!(state.len(), dffs.len(), "one binding per DFF");
     let mut vals: Vec<Option<AigLit>> = vec![None; nl.num_nets()];
-    for (k, &pi) in nl.inputs().iter().enumerate() {
-        vals[pi.index()] = Some(bindings[k]);
+    for (&pi, &l) in nl.inputs().iter().zip(inputs) {
+        vals[pi.index()] = Some(l);
     }
-    for d in nl.dffs() {
-        let out = nl.gate(d).output;
-        let free = sink.new_var().pos();
-        vals[out.index()] = Some(aig.input(free));
+    for (&d, &l) in dffs.iter().zip(state) {
+        vals[nl.gate(d).output.index()] = Some(l);
     }
     let mut ins: Vec<AigLit> = Vec::new();
     for gid in order {
@@ -369,37 +402,66 @@ pub fn lower_netlist_bound<B: CnfBuilder>(
         );
         vals[g.output.index()] = Some(aig.gate(g.kind, &ins));
     }
-    Ok(nl
-        .outputs()
-        .iter()
-        .map(|&(n, _)| vals[n.index()].expect("outputs are driven"))
+    Ok(vals
+        .into_iter()
+        .map(|v| v.unwrap_or(AigLit::FALSE))
         .collect())
 }
 
-/// AIG-backed variant of [`crate::encode_netlist`]: allocates one fresh
-/// variable per primary input, lowers the netlist through `aig`, and
-/// emits CNF for every output cone. Returns the input variables (in
-/// port order) and one output literal per primary output.
+/// The edges of `nl`'s primary outputs, in port order, from a per-net
+/// lowering ([`lower_netlist`]).
+pub fn output_edges(nl: &Netlist, nets: &[AigLit]) -> Vec<AigLit> {
+    nl.outputs().iter().map(|&(n, _)| nets[n.index()]).collect()
+}
+
+/// Re-lowers the fan-out cone of a fault on `site` against the good
+/// lowering `good` ([`lower_netlist`] of `nl`), with the site re-bound
+/// to `faulty`: [`AigLit::FALSE`] or [`AigLit::TRUE`] for a stuck-at
+/// fault, `!good[site]` for a bit flip.
 ///
-/// Unlike the direct encoder, internal nets shared between calls (the
-/// same subcircuit lowered twice, even from different netlists) cost
-/// clauses once.
+/// Returns the faulty edge of every primary output, in port order. A net
+/// whose re-lowered edge hash-conses back to its good edge leaves the
+/// cone, so an output the fault cannot influence keeps its good edge and
+/// drops out of any [`Aig::any_diff`] miter. Cones stop at DFFs: both
+/// copies read the same state edges, so a fault cannot fake a difference
+/// through a next-state value.
 ///
 /// # Errors
 ///
 /// Returns [`NetlistError::CombinationalCycle`] on cyclic logic.
-#[allow(clippy::type_complexity)]
-pub fn encode_netlist_aig<B: CnfBuilder>(
+pub fn lower_fault_cone(
     nl: &Netlist,
     aig: &mut Aig,
-    map: &mut AigCnf,
-    sink: &mut B,
-) -> Result<(Vec<crate::cnf::Var>, Vec<Lit>), NetlistError> {
-    let input_vars: Vec<crate::cnf::Var> = (0..nl.inputs().len()).map(|_| sink.new_var()).collect();
-    let bindings: Vec<AigLit> = input_vars.iter().map(|v| aig.input(v.pos())).collect();
-    let outs = lower_netlist_bound(nl, aig, &bindings, sink)?;
-    let out_lits = outs.iter().map(|&o| map.lit_of(aig, o, sink)).collect();
-    Ok((input_vars, out_lits))
+    good: &[AigLit],
+    site: NetId,
+    faulty: AigLit,
+) -> Result<Vec<AigLit>, NetlistError> {
+    let mut cone: Vec<Option<AigLit>> = vec![None; nl.num_nets()];
+    if faulty != good[site.index()] {
+        cone[site.index()] = Some(faulty);
+    }
+    let mut ins: Vec<AigLit> = Vec::new();
+    for gid in nl.topo_order()? {
+        let g = nl.gate(gid);
+        if g.output == site || g.inputs.iter().all(|&i| cone[i.index()].is_none()) {
+            continue; // the site's driver is bypassed; the rest is shared
+        }
+        ins.clear();
+        ins.extend(
+            g.inputs
+                .iter()
+                .map(|&i| cone[i.index()].unwrap_or(good[i.index()])),
+        );
+        let y = aig.gate(g.kind, &ins);
+        if y != good[g.output.index()] {
+            cone[g.output.index()] = Some(y);
+        }
+    }
+    Ok(nl
+        .outputs()
+        .iter()
+        .map(|&(n, _)| cone[n.index()].unwrap_or(good[n.index()]))
+        .collect())
 }
 
 #[cfg(test)]
@@ -408,12 +470,6 @@ mod tests {
     use crate::cnf::Cnf;
     use crate::solver::{SatResult, Solver};
     use seceda_netlist::{c17, majority, random_circuit, RandomCircuitConfig};
-
-    fn fresh(cnf: &mut Cnf) -> (Lit, AigCnf) {
-        let cf = cnf.new_var().pos();
-        cnf.add_clause([!cf]);
-        (cf, AigCnf::new(cf))
-    }
 
     #[test]
     fn constant_folding_and_absorption() {
@@ -469,30 +525,42 @@ mod tests {
         assert_eq!(aig.num_nodes(), 2); // const + one input node
     }
 
-    /// Every model of the AIG-encoded circuit matches simulation.
-    fn check_aig_encoding(nl: &Netlist) {
+    /// Every model of `nl` lowered under `bindings` (each primary input
+    /// a constant or a fresh symbolic input) matches simulation on every
+    /// assignment of the symbolic inputs.
+    fn check_lowering(nl: &Netlist, bindings: &[Option<bool>]) {
         let mut cnf = Cnf::new();
-        let (_cf, mut map) = fresh(&mut cnf);
+        let mut map = AigCnf::new(&mut cnf);
         let mut aig = Aig::new();
-        let (in_vars, out_lits) =
-            encode_netlist_aig(nl, &mut aig, &mut map, &mut cnf).expect("encode");
-        let n = nl.inputs().len();
-        for pattern in 0..(1u32 << n) {
-            let inputs: Vec<bool> = (0..n).map(|b| (pattern >> b) & 1 == 1).collect();
-            let assumptions: Vec<Lit> = in_vars
+        let free = bindings.iter().filter(|b| b.is_none()).count();
+        let (vars, edges) = aig.fresh_inputs(free, &mut cnf);
+        let mut symbolic = edges.into_iter();
+        let inputs: Vec<AigLit> = bindings
+            .iter()
+            .map(|b| b.map_or_else(|| symbolic.next().expect("free input"), AigLit::constant))
+            .collect();
+        let nets = lower_netlist(nl, &mut aig, &inputs, &[]).expect("lower");
+        let outs: Vec<Lit> = output_edges(nl, &nets)
+            .into_iter()
+            .map(|o| map.lit_of(&aig, o, &mut cnf))
+            .collect();
+        for pattern in 0..(1u32 << free) {
+            let tail: Vec<bool> = (0..free).map(|b| (pattern >> b) & 1 == 1).collect();
+            let mut tail_bits = tail.iter();
+            let full: Vec<bool> = bindings
                 .iter()
-                .zip(&inputs)
-                .map(|(&v, &b)| v.lit(b))
+                .map(|b| b.unwrap_or_else(|| *tail_bits.next().expect("free bit")))
                 .collect();
+            let assumptions: Vec<Lit> = vars.iter().zip(&tail).map(|(v, &b)| v.lit(b)).collect();
             let mut solver = Solver::from_cnf(&cnf);
             match solver.solve_with_assumptions(&assumptions) {
                 SatResult::Sat(model) => {
-                    let expected = nl.evaluate(&inputs);
-                    for (k, &ol) in out_lits.iter().enumerate() {
+                    let expected = nl.evaluate(&full);
+                    for (k, &ol) in outs.iter().enumerate() {
                         assert_eq!(
                             ol.eval(model[ol.var().index()]),
                             expected[k],
-                            "pattern {pattern} output {k}"
+                            "inputs {full:?} output {k}"
                         );
                     }
                 }
@@ -501,15 +569,20 @@ mod tests {
         }
     }
 
+    fn all_symbolic(nl: &Netlist) -> Vec<Option<bool>> {
+        vec![None; nl.inputs().len()]
+    }
+
     #[test]
     fn aig_encoding_matches_simulation_on_c17_and_majority() {
-        check_aig_encoding(&c17());
-        check_aig_encoding(&majority());
+        for nl in [c17(), majority()] {
+            check_lowering(&nl, &all_symbolic(&nl));
+        }
     }
 
     #[test]
     fn aig_encoding_matches_simulation_on_random_circuits() {
-        for seed in [2u64, 7, 23] {
+        for seed in [2u64, 3, 7, 8, 19, 23] {
             let nl = random_circuit(&RandomCircuitConfig {
                 num_inputs: 5,
                 num_gates: 40,
@@ -517,8 +590,86 @@ mod tests {
                 with_xor: true,
                 seed,
             });
-            check_aig_encoding(&nl);
+            check_lowering(&nl, &all_symbolic(&nl));
         }
+    }
+
+    #[test]
+    fn wide_gates_match_simulation() {
+        let mut nl = Netlist::new("wide");
+        let ins: Vec<_> = (0..5).map(|i| nl.add_input(format!("i{i}"))).collect();
+        for (k, kind) in [
+            CellKind::And,
+            CellKind::Or,
+            CellKind::Xor,
+            CellKind::Xnor,
+            CellKind::Nand,
+            CellKind::Nor,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let y = nl.add_gate(kind, &ins);
+            nl.mark_output(y, format!("o{k}"));
+        }
+        check_lowering(&nl, &all_symbolic(&nl));
+    }
+
+    #[test]
+    fn partially_bound_lowering_matches_cofactor() {
+        // half constants, half symbolic: the folded cone must equal the
+        // cofactor of the circuit under the fixed bits
+        check_lowering(&c17(), &[Some(true), Some(false), Some(true), None, None]);
+        check_lowering(&majority(), &[None, Some(true), None]);
+    }
+
+    #[test]
+    fn any_diff_folds_identical_copies_and_keeps_real_differences() {
+        let nl = c17();
+        let mut aig = Aig::new();
+        let mut cnf = Cnf::new();
+        let (_, ins) = aig.fresh_inputs(5, &mut cnf);
+        let a = output_edges(
+            &nl,
+            &lower_netlist(&nl, &mut aig, &ins, &[]).expect("lower"),
+        );
+        let b = output_edges(
+            &nl,
+            &lower_netlist(&nl, &mut aig, &ins, &[]).expect("lower"),
+        );
+        assert_eq!(aig.any_diff(a.iter().copied().zip(b)), AigLit::FALSE);
+        // a single inverted output is a difference on every input
+        let c: Vec<AigLit> = vec![a[0], !a[1]];
+        let diff = aig.any_diff(a.iter().copied().zip(c));
+        let mut map = AigCnf::new(&mut cnf);
+        let d = map.lit_of(&aig, diff, &mut cnf);
+        let mut solver = Solver::from_cnf(&cnf);
+        assert_eq!(solver.solve_with_assumptions(&[!d]), SatResult::Unsat);
+        assert!(matches!(
+            solver.solve_with_assumptions(&[d]),
+            SatResult::Sat(_)
+        ));
+    }
+
+    #[test]
+    fn fault_cones_match_fault_free_relowering() {
+        // re-lowering a cone with the site bound to its own good edge
+        // changes nothing; a stuck-at on a primary output changes only
+        // that output
+        let nl = c17();
+        let mut aig = Aig::new();
+        let mut cnf = Cnf::new();
+        let (_, ins) = aig.fresh_inputs(5, &mut cnf);
+        let good = lower_netlist(&nl, &mut aig, &ins, &[]).expect("lower");
+        let outs = output_edges(&nl, &good);
+        for n in 0..nl.num_nets() {
+            let site = NetId::from_index(n);
+            let same = lower_fault_cone(&nl, &mut aig, &good, site, good[n]).expect("cone");
+            assert_eq!(same, outs);
+        }
+        let (o0, _) = nl.outputs()[0];
+        let faulty = lower_fault_cone(&nl, &mut aig, &good, o0, AigLit::TRUE).expect("cone");
+        assert_eq!(faulty, vec![AigLit::TRUE, outs[1]]);
     }
 
     #[test]
@@ -528,15 +679,10 @@ mod tests {
         let nl = c17();
         let mut cnf = Cnf::new();
         let mut aig = Aig::new();
-        let ins: Vec<AigLit> = (0..5)
-            .map(|_| {
-                let v = cnf.new_var();
-                aig.input(v.pos())
-            })
-            .collect();
-        let o1 = lower_netlist_bound(&nl, &mut aig, &ins, &mut cnf).expect("lower");
+        let (_, ins) = aig.fresh_inputs(5, &mut cnf);
+        let o1 = lower_netlist(&nl, &mut aig, &ins, &[]).expect("lower");
         let nodes_after_first = aig.num_nodes();
-        let o2 = lower_netlist_bound(&nl, &mut aig, &ins, &mut cnf).expect("lower");
+        let o2 = lower_netlist(&nl, &mut aig, &ins, &[]).expect("lower");
         assert_eq!(aig.num_nodes(), nodes_after_first, "second copy is free");
         assert_eq!(o1, o2);
     }
@@ -544,7 +690,7 @@ mod tests {
     #[test]
     fn incremental_lowering_emits_each_node_once() {
         let mut cnf = Cnf::new();
-        let (_cf, mut map) = fresh(&mut cnf);
+        let mut map = AigCnf::new(&mut cnf);
         let mut aig = Aig::new();
         let a = aig.input(cnf.new_var().pos());
         let b = aig.input(cnf.new_var().pos());
@@ -571,24 +717,23 @@ mod tests {
     fn folded_constants_cost_nothing() {
         // all-constant bindings collapse to constant edges: no nodes
         // beyond inputs, no clauses
-        let nl = c17();
-        let mut cnf = Cnf::new();
-        let (_cf, _map) = fresh(&mut cnf);
-        let mut aig = Aig::new();
-        let n = nl.inputs().len();
-        for pattern in 0..(1u32 << n) {
-            let inputs: Vec<bool> = (0..n).map(|b| (pattern >> b) & 1 == 1).collect();
-            let bindings: Vec<AigLit> = inputs.iter().map(|&b| AigLit::constant(b)).collect();
-            let before = aig.num_nodes();
-            let outs = lower_netlist_bound(&nl, &mut aig, &bindings, &mut cnf).expect("lower");
-            assert_eq!(
-                aig.num_nodes(),
-                before,
-                "constant lowering allocates nothing"
-            );
-            let expected = nl.evaluate(&inputs);
-            for (k, o) in outs.iter().enumerate() {
-                assert_eq!(o.as_const(), Some(expected[k]), "pattern {pattern} out {k}");
+        for nl in [c17(), majority()] {
+            let mut aig = Aig::new();
+            let n = nl.inputs().len();
+            for pattern in 0..(1u32 << n) {
+                let inputs: Vec<bool> = (0..n).map(|b| (pattern >> b) & 1 == 1).collect();
+                let bindings: Vec<AigLit> = inputs.iter().map(|&b| AigLit::constant(b)).collect();
+                let before = aig.num_nodes();
+                let nets = lower_netlist(&nl, &mut aig, &bindings, &[]).expect("lower");
+                assert_eq!(
+                    aig.num_nodes(),
+                    before,
+                    "constant lowering allocates nothing"
+                );
+                let expected = nl.evaluate(&inputs);
+                for (k, o) in output_edges(&nl, &nets).iter().enumerate() {
+                    assert_eq!(o.as_const(), Some(expected[k]), "pattern {pattern} out {k}");
+                }
             }
         }
     }

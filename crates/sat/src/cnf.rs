@@ -155,39 +155,6 @@ pub trait CnfBuilder {
     }
 }
 
-/// A [`CnfBuilder`] adapter that appends a fixed guard literal to every
-/// clause, making the whole clause group conditional: the clauses bind
-/// only under the assumption `!guard`, and a root-level unit `guard`
-/// retires the group forever.
-///
-/// This is the selector mechanism behind incremental ATPG and the
-/// fault-coverage proofs: each fault's faulty cone is encoded gated on a
-/// fresh selector, activated via assumptions, and retired after its
-/// query instead of rebuilding the solver.
-pub struct GatedCnf<'a, B: CnfBuilder> {
-    inner: &'a mut B,
-    guard: Lit,
-}
-
-impl<'a, B: CnfBuilder> GatedCnf<'a, B> {
-    /// Wraps `inner`, adding `guard` to every clause added through the
-    /// wrapper. Variables are allocated ungated.
-    pub fn new(inner: &'a mut B, guard: Lit) -> Self {
-        GatedCnf { inner, guard }
-    }
-}
-
-impl<B: CnfBuilder> CnfBuilder for GatedCnf<'_, B> {
-    fn new_var(&mut self) -> Var {
-        self.inner.new_var()
-    }
-
-    fn add_clause(&mut self, lits: impl IntoIterator<Item = Lit>) {
-        let guard = self.guard;
-        self.inner.add_clause(lits.into_iter().chain([guard]));
-    }
-}
-
 /// A CNF formula under construction.
 ///
 /// # Example

@@ -20,15 +20,14 @@
 //! * [`Cnf`] / [`Lit`] / [`Var`] — formula representation;
 //! * [`CnfBuilder`] — the clause-sink trait shared by [`Cnf`] and
 //!   [`Solver`], so encodings can target a live solver incrementally;
-//!   [`GatedCnf`] gates a clause group on a selector literal;
-//! * [`encode`] — Tseitin encoding of netlists, miter construction, and
-//!   selector-gated faulty-cone encoding for incremental ATPG;
-//! * [`aig`] — structurally-hashed and-inverter graphs: netlists lower
-//!   into a hash-consed AND/XOR node table (constant propagation,
+//! * [`aig`] — the one netlist encoder: netlists lower into a
+//!   structurally-hashed AND/XOR node table (constant propagation,
 //!   two-level XOR re-discovery), then to CNF through a persistent
 //!   node→literal map, so repeated encodings of shared logic — the two
-//!   keyed copies of a SAT-attack miter, the per-DIP observation
-//!   circuits — emit each distinct cone exactly once.
+//!   copies of an equivalence or SAT-attack miter, per-DIP observation
+//!   circuits, per-fault cones — emit each distinct node exactly once.
+//!   Equivalence, BMC, ATPG, formal fault coverage and the SAT attack
+//!   all reach CNF this way.
 //!
 //! # Example
 //!
@@ -48,18 +47,14 @@
 //! ```
 
 pub mod aig;
-pub mod encode;
 
 mod budget;
 mod cnf;
 mod portfolio;
 mod solver;
 
-pub use aig::{encode_netlist_aig, lower_netlist_bound, Aig, AigCnf, AigLit};
+pub use aig::{lower_fault_cone, lower_netlist, output_edges, Aig, AigCnf, AigLit};
 pub use budget::{Budget, SolveOutcome, StopReason};
-pub use cnf::{Cnf, CnfBuilder, GatedCnf, Lit, Var};
-pub use encode::{
-    encode_faulty_cone, encode_netlist, encode_netlist_bound, miter, NetlistEncoding, Signal,
-};
+pub use cnf::{Cnf, CnfBuilder, Lit, Var};
 pub use portfolio::Portfolio;
 pub use solver::{SatResult, Solver, SolverConfig};

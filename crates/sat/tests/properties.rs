@@ -1,6 +1,6 @@
 //! Property-based tests for the SAT solver and the netlist encoder.
 
-use seceda_sat::{encode_netlist, Cnf, Lit, SatResult, Solver};
+use seceda_sat::{lower_netlist, output_edges, Aig, AigCnf, Cnf, Lit, SatResult, Solver};
 use seceda_testkit::prelude::*;
 
 fn random_cnf(num_vars: usize, clause_spec: &[Vec<(usize, bool)>]) -> Cnf {
@@ -159,13 +159,20 @@ proptest! {
             seed,
         });
         let mut cnf = Cnf::new();
-        let enc = encode_netlist(&nl, &mut cnf).expect("encode");
+        let mut map = AigCnf::new(&mut cnf);
+        let mut aig = Aig::new();
+        let (in_vars, ins) = aig.fresh_inputs(4, &mut cnf);
+        let nets = lower_netlist(&nl, &mut aig, &ins, &[]).expect("lower");
+        let outs: Vec<Lit> = output_edges(&nl, &nets)
+            .into_iter()
+            .map(|o| map.lit_of(&aig, o, &mut cnf))
+            .collect();
         // any unconstrained model of the encoding must be consistent with
         // simulating the circuit on the model's own inputs
         if let SatResult::Sat(model) = Solver::from_cnf(&cnf).solve() {
-            let inputs: Vec<bool> = enc.input_vars.iter().map(|v| model[v.index()]).collect();
+            let inputs: Vec<bool> = in_vars.iter().map(|v| model[v.index()]).collect();
             let expected = nl.evaluate(&inputs);
-            let got: Vec<bool> = enc.output_vars.iter().map(|v| model[v.index()]).collect();
+            let got: Vec<bool> = outs.iter().map(|l| l.eval(model[l.var().index()])).collect();
             prop_assert_eq!(got, expected);
         } else {
             prop_assert!(false, "circuit encodings are always satisfiable");

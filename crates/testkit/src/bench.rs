@@ -138,6 +138,25 @@ impl BenchResult {
     }
 }
 
+/// Median wall-clock time of `samples` runs of `f`, in nanoseconds,
+/// with the result of the last run (no warmup; for bench targets that
+/// time whole engine runs and write their own report files).
+///
+/// # Panics
+///
+/// Panics if `samples` is zero.
+pub fn time_median<R>(samples: usize, mut f: impl FnMut() -> R) -> (u128, R) {
+    let mut times = Vec::with_capacity(samples);
+    let mut last = None;
+    for _ in 0..samples {
+        let start = Instant::now();
+        last = Some(std::hint::black_box(f()));
+        times.push(start.elapsed().as_nanos());
+    }
+    times.sort_unstable();
+    (times[times.len() / 2], last.expect("at least one sample"))
+}
+
 /// Resolves the build's `target` directory. Cargo runs test and bench
 /// binaries with the *package* root as cwd, so a relative `target/`
 /// would scatter files across crate dirs; instead walk up from the

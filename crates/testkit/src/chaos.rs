@@ -14,15 +14,18 @@
 //! Activation, in priority order:
 //!
 //! 1. a scoped override installed by [`with_seed`], [`with_forced`] or
-//!    [`without_chaos`] (tests); scopes serialize on a global lock so
-//!    concurrent `cargo test` threads cannot observe each other's
-//!    configuration;
+//!    [`without_chaos`] (tests). Scopes are **thread-local**: a scope
+//!    binds the thread that entered it and the [`crate::par`] workers
+//!    that thread spawns while the scope is live, which inherit it so a
+//!    chaos run is the same at every worker count. Any other thread,
+//!    scoped or unscoped, never observes it. Scopes nest; leaving one
+//!    restores the enclosing configuration;
 //! 2. the `SECEDA_CHAOS=<seed>` environment variable (decimal or
-//!    `0x`-prefixed hex), read once on first use.
+//!    `0x`-prefixed hex), read once on first use, process-wide.
 //!
 //! When neither is present the harness is off and every check is a
-//! single relaxed atomic load — the production hot paths pay one
-//! predictable branch.
+//! thread-local read — the production hot paths pay one predictable
+//! branch.
 //!
 //! Injected effects are the small set the engines must survive:
 //! panics ([`maybe_panic`]), budget exhaustion ([`maybe_exhaust`]), and
@@ -30,27 +33,23 @@
 //! increments a process-wide counter ([`injections`]) that callers
 //! surface as the `chaos.injections` trace counter.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
-/// Fast-path gate: 0 = not yet initialised from the environment,
-/// 1 = off, 2 = on.
-static ACTIVE: AtomicU8 = AtomicU8::new(0);
-
-/// Total number of faults actually injected since process start.
+/// Total number of faults injected since process start.
 static INJECTIONS: AtomicU64 = AtomicU64::new(0);
 
-/// Full configuration, consulted only when [`ACTIVE`] says on.
-static CONFIG: Mutex<ChaosConfig> = Mutex::new(ChaosConfig {
-    seed: None,
-    forced: None,
-});
+/// The configuration `SECEDA_CHAOS` supplies (off when unset), read on
+/// first use.
+static ENV: OnceLock<ChaosConfig> = OnceLock::new();
 
-/// Serializes [`with_seed`] / [`with_forced`] / [`without_chaos`] scopes
-/// across test threads.
-static SCOPE: Mutex<()> = Mutex::new(());
+thread_local! {
+    /// The innermost scoped override live on this thread, if any.
+    static SCOPE: RefCell<Option<Arc<ChaosConfig>>> = const { RefCell::new(None) };
+}
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct ChaosConfig {
     /// Seed for probabilistic firing; `None` disables random injection
     /// (a forced point may still fire).
@@ -59,12 +58,10 @@ struct ChaosConfig {
     forced: Option<(String, Option<u64>)>,
 }
 
-fn ignore_poison<'a, T>(
-    r: Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>,
-) -> MutexGuard<'a, T> {
-    // chaos tests inject panics on purpose; a poisoned lock carries no
-    // broken invariant here
-    r.unwrap_or_else(PoisonError::into_inner)
+impl ChaosConfig {
+    fn is_on(&self) -> bool {
+        self.seed.is_some() || self.forced.is_some()
+    }
 }
 
 /// Parses a `SECEDA_CHAOS` value: decimal, or hex with a `0x` prefix.
@@ -77,42 +74,31 @@ fn parse_seed(v: &str) -> Option<u64> {
     }
 }
 
-/// Reads `SECEDA_CHAOS` on first use and settles [`ACTIVE`].
-fn init_from_env() -> bool {
-    let seed = std::env::var("SECEDA_CHAOS")
-        .ok()
-        .and_then(|v| parse_seed(&v));
-    let mut cfg = ignore_poison(CONFIG.lock());
-    // another thread may have initialised (or a scope may have installed
-    // itself) while we read the environment; never downgrade
-    match ACTIVE.load(Ordering::Relaxed) {
-        0 => {
-            cfg.seed = seed;
-            let state = if seed.is_some() { 2 } else { 1 };
-            ACTIVE.store(state, Ordering::Relaxed);
-            state == 2
-        }
-        state => state == 2,
-    }
+/// Runs `f` on the configuration in effect on this thread: the
+/// innermost scope, else the environment.
+fn with_config<R>(f: impl FnOnce(&ChaosConfig) -> R) -> R {
+    SCOPE.with(|s| match &*s.borrow() {
+        Some(cfg) => f(cfg),
+        None => f(ENV.get_or_init(|| ChaosConfig {
+            seed: std::env::var("SECEDA_CHAOS")
+                .ok()
+                .and_then(|v| parse_seed(&v)),
+            forced: None,
+        })),
+    })
 }
 
-/// Whether chaos injection is currently enabled (scoped override or
-/// `SECEDA_CHAOS` in the environment).
+/// Whether chaos injection is currently enabled on this thread (scoped
+/// override or `SECEDA_CHAOS` in the environment).
 #[inline]
 pub fn active() -> bool {
-    match ACTIVE.load(Ordering::Relaxed) {
-        0 => init_from_env(),
-        state => state == 2,
-    }
+    with_config(ChaosConfig::is_on)
 }
 
-/// The seed `SECEDA_CHAOS` supplied, if chaos came from the environment
-/// (scoped overrides report their own seed while installed).
+/// The seed in effect on this thread: the innermost scope's, else the
+/// one `SECEDA_CHAOS` supplies.
 pub fn current_seed() -> Option<u64> {
-    if !active() {
-        return None;
-    }
-    ignore_poison(CONFIG.lock()).seed
+    with_config(|cfg| cfg.seed)
 }
 
 /// Total number of faults injected so far in this process (panics,
@@ -149,26 +135,17 @@ fn fnv1a(s: &str) -> u64 {
 /// never on call order — which is what makes chaos runs deterministic
 /// across thread schedules.
 pub fn fires(point: &str, salt: u64) -> bool {
-    if !active() {
-        return false;
-    }
-    let cfg = ignore_poison(CONFIG.lock());
-    if let Some((fp, fsalt)) = &cfg.forced {
-        let salt_ok = match fsalt {
-            Some(s) => *s == salt,
-            None => true,
-        };
-        if fp == point && salt_ok {
-            return true;
-        }
-    }
-    match cfg.seed {
-        Some(seed) => {
-            let mix = splitmix64(seed ^ fnv1a(point) ^ splitmix64(salt));
-            mix & 7 == 0
-        }
-        None => false,
-    }
+    with_config(|cfg| {
+        let forced = cfg
+            .forced
+            .as_ref()
+            .is_some_and(|(fp, fsalt)| fp == point && fsalt.is_none_or(|s| s == salt));
+        forced
+            || cfg.seed.is_some_and(|seed| {
+                let mix = splitmix64(seed ^ fnv1a(point) ^ splitmix64(salt));
+                mix & 7 == 0
+            })
+    })
 }
 
 /// Records one actual injection.
@@ -207,7 +184,7 @@ pub fn truncate_input(point: &str, text: &str) -> Option<String> {
     if text.is_empty() || !fires(point, salt) {
         return None;
     }
-    let seed = ignore_poison(CONFIG.lock()).seed.unwrap_or(0);
+    let seed = current_seed().unwrap_or(0);
     let mut cut = (splitmix64(seed ^ fnv1a(point) ^ salt) % salt) as usize;
     while !text.is_char_boundary(cut) {
         cut -= 1;
@@ -216,76 +193,76 @@ pub fn truncate_input(point: &str, text: &str) -> Option<String> {
     Some(text[..cut].to_string())
 }
 
-/// Restores the previous configuration when a scope ends (also on
-/// panic — chaos scopes inject panics on purpose).
-struct ScopeGuard {
-    prev_active: u8,
-    prev_cfg: ChaosConfig,
-    _lock: MutexGuard<'static, ()>,
+/// The scoped configuration of one thread, captured so the workers it
+/// spawns run under it too.
+#[derive(Debug, Clone)]
+pub(crate) struct Inherited(Option<Arc<ChaosConfig>>);
+
+/// Captures this thread's scoped configuration (none outside every
+/// scope, so workers then read the environment like their parent).
+pub(crate) fn inherit() -> Inherited {
+    Inherited(SCOPE.with(|s| s.borrow().clone()))
 }
 
-impl Drop for ScopeGuard {
-    fn drop(&mut self) {
-        let mut cfg = ignore_poison(CONFIG.lock());
-        *cfg = self.prev_cfg.clone();
-        ACTIVE.store(self.prev_active, Ordering::Relaxed);
+impl Inherited {
+    /// Runs `f` on the current (worker) thread under the captured
+    /// configuration.
+    pub(crate) fn enter<R>(&self, f: impl FnOnce() -> R) -> R {
+        let _restore = install(self.0.clone());
+        f()
     }
 }
 
-fn enter_scope(new: ChaosConfig, on: bool) -> ScopeGuard {
-    let lock = ignore_poison(SCOPE.lock());
-    // settle env state first so restoring never resurrects "uninitialised"
-    active();
-    let mut cfg = ignore_poison(CONFIG.lock());
-    let guard = ScopeGuard {
-        prev_active: ACTIVE.load(Ordering::Relaxed),
-        prev_cfg: cfg.clone(),
-        _lock: lock,
-    };
-    *cfg = new;
-    drop(cfg);
-    ACTIVE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    guard
+/// Restores the enclosing configuration when a scope ends (also on
+/// panic — chaos scopes inject panics on purpose).
+struct Restore(Option<Arc<ChaosConfig>>);
+
+impl Drop for Restore {
+    fn drop(&mut self) {
+        let prev = self.0.take();
+        SCOPE.with(|s| *s.borrow_mut() = prev);
+    }
 }
 
-/// Runs `f` with chaos enabled under `seed`, restoring the previous
-/// configuration afterwards. Scopes serialize process-wide.
+fn install(cfg: Option<Arc<ChaosConfig>>) -> Restore {
+    Restore(SCOPE.with(|s| s.replace(cfg)))
+}
+
+fn scoped<R>(cfg: ChaosConfig, f: impl FnOnce() -> R) -> R {
+    let _restore = install(Some(Arc::new(cfg)));
+    f()
+}
+
+/// Runs `f` with chaos enabled under `seed` on this thread (and the
+/// `par` workers it spawns), restoring the previous configuration
+/// afterwards.
 pub fn with_seed<R>(seed: u64, f: impl FnOnce() -> R) -> R {
-    let _guard = enter_scope(
+    scoped(
         ChaosConfig {
             seed: Some(seed),
             forced: None,
         },
-        true,
-    );
-    f()
+        f,
+    )
 }
 
 /// Runs `f` with exactly one injection point forced to fire — at every
 /// salt, or only at `salt` when given — and no random injection.
 /// Restores the previous configuration afterwards.
 pub fn with_forced<R>(point: &str, salt: Option<u64>, f: impl FnOnce() -> R) -> R {
-    let _guard = enter_scope(
+    scoped(
         ChaosConfig {
             seed: None,
             forced: Some((point.to_string(), salt)),
         },
-        true,
-    );
-    f()
+        f,
+    )
 }
 
 /// Runs `f` with chaos disabled, even if `SECEDA_CHAOS` is set. Chaos
 /// tests use this for their straight-through reference runs.
 pub fn without_chaos<R>(f: impl FnOnce() -> R) -> R {
-    let _guard = enter_scope(
-        ChaosConfig {
-            seed: None,
-            forced: None,
-        },
-        false,
-    );
-    f()
+    scoped(ChaosConfig::default(), f)
 }
 
 #[cfg(test)]
@@ -354,6 +331,28 @@ mod tests {
             assert_eq!(t1, t2);
             assert!(t1.len() < text.len());
             assert!(text.starts_with(&t1));
+        });
+    }
+
+    #[test]
+    fn scopes_are_invisible_to_other_threads() {
+        // a forced point fires at every salt; a random seed (ambient
+        // SECEDA_CHAOS) fires at about one in eight
+        let all_fire = || (0..64).all(|s| fires("unit.scope", s));
+        with_forced("unit.scope", None, || {
+            assert!(all_fire());
+            let elsewhere = std::thread::spawn(all_fire).join().expect("thread");
+            assert!(!elsewhere, "an unscoped thread saw another thread's scope");
+        });
+    }
+
+    #[test]
+    fn nested_scopes_restore_the_enclosing_one() {
+        with_seed(7, || {
+            without_chaos(|| assert!(!active()));
+            assert_eq!(current_seed(), Some(7));
+            with_seed(8, || assert_eq!(current_seed(), Some(8)));
+            assert_eq!(current_seed(), Some(7));
         });
     }
 

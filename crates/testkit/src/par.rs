@@ -35,7 +35,9 @@ thread_local! {
 /// Runs `f` with the worker count pinned to `workers` on this thread
 /// (restored afterwards, also on panic). Worker threads spawned inside
 /// do not inherit the override; it applies to top-level [`par_map`] /
-/// [`par_map_init`] calls made directly by `f`.
+/// [`par_map_init`] calls made directly by `f`. The calling thread's
+/// chaos scope ([`crate::chaos`]), by contrast, is carried into every
+/// worker, so injection decisions do not depend on the worker count.
 ///
 /// # Panics
 ///
@@ -140,24 +142,27 @@ where
     let chunk = (len / (workers * 8)).max(1);
     let cursor = AtomicUsize::new(0);
     let mut buckets: Vec<Vec<(usize, R)>> = Vec::with_capacity(workers);
+    let chaos_scope = chaos::inherit();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut state = init();
-                    let mut local = Vec::new();
-                    loop {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= len {
-                            break;
+                    chaos_scope.enter(|| {
+                        let mut state = init();
+                        let mut local = Vec::new();
+                        loop {
+                            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+                            if start >= len {
+                                break;
+                            }
+                            let end = (start + chunk).min(len);
+                            for (i, item) in items[start..end].iter().enumerate() {
+                                let i = start + i;
+                                local.push((i, f(&mut state, i, item)));
+                            }
                         }
-                        let end = (start + chunk).min(len);
-                        for (i, item) in items[start..end].iter().enumerate() {
-                            let i = start + i;
-                            local.push((i, f(&mut state, i, item)));
-                        }
-                    }
-                    local
+                        local
+                    })
                 })
             })
             .collect();
@@ -269,11 +274,12 @@ where
     }
     let mut out: Vec<Option<R>> = Vec::new();
     let f = &f; // share the closure by reference (&F: Send when F: Sync)
+    let chaos_scope = &chaos::inherit();
     std::thread::scope(|scope| {
         let handles: Vec<_> = items
             .iter_mut()
             .enumerate()
-            .map(|(i, item)| scope.spawn(move || f(i, item)))
+            .map(|(i, item)| scope.spawn(move || chaos_scope.enter(|| f(i, item))))
             .collect();
         for handle in handles {
             match handle.join() {

@@ -1,7 +1,7 @@
 //! Bounded model checking by time-frame unrolling.
 
 use seceda_netlist::{Netlist, NetlistError};
-use seceda_sat::{encode_netlist, Cnf, CnfBuilder, SatResult, Solver};
+use seceda_sat::{lower_netlist, Aig, AigCnf, AigLit, SatResult, Solver};
 
 /// Result of a reachability query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,8 +23,11 @@ impl BmcResult {
 /// Checks whether output `output_index` can take `target_value` within
 /// `bound` cycles from the all-zero initial state.
 ///
-/// Frames are encoded separately; frame `i+1`'s register outputs are
-/// tied to frame `i`'s register inputs.
+/// The time frames are unrolled into one AIG and one incremental
+/// solver: frame 0 reads the all-zero state (constant false), and every
+/// later frame's state is the previous frame's next-state (DFF input)
+/// edges. Each depth asks one query, so the first satisfiable depth
+/// yields the shortest witness.
 ///
 /// # Errors
 ///
@@ -42,37 +45,27 @@ pub fn bmc_reach(
     assert!(output_index < nl.outputs().len(), "output out of range");
     assert!(bound > 0, "bound must be positive");
     let dffs = nl.dffs();
-    for depth in 1..=bound {
-        let mut cnf = Cnf::new();
-        let frames: Vec<_> = (0..depth)
-            .map(|_| encode_netlist(nl, &mut cnf))
-            .collect::<Result<_, _>>()?;
-        // initial state: all registers zero
-        for &d in &dffs {
-            let q = frames[0].vars[nl.gate(d).output.index()];
-            cnf.add_clause([q.neg()]);
-        }
-        // chain the frames
-        for f in 1..depth {
-            for &d in &dffs {
-                let q_next = frames[f].vars[nl.gate(d).output.index()];
-                let d_prev = frames[f - 1].vars[nl.gate(d).inputs[0].index()];
-                cnf.gate_buf(q_next.pos(), d_prev.pos());
-            }
-        }
-        // target: monitored output takes the value in the last frame
-        let (net, _) = nl.outputs()[output_index].clone();
-        let out_var = frames[depth - 1].vars[net.index()];
-        let mut solver = Solver::from_cnf(&cnf);
-        if let SatResult::Sat(model) = solver.solve_with_assumptions(&[out_var.lit(target_value)]) {
+    let (target_net, _) = nl.outputs()[output_index];
+    let mut solver = Solver::new(0);
+    let mut aig = Aig::new();
+    let mut map = AigCnf::new(&mut solver);
+    let mut state = vec![AigLit::FALSE; dffs.len()];
+    let mut frames = Vec::with_capacity(bound);
+    for _ in 0..bound {
+        let (input_vars, inputs) = aig.fresh_inputs(nl.inputs().len(), &mut solver);
+        frames.push(input_vars);
+        let nets = lower_netlist(nl, &mut aig, &inputs, &state)?;
+        state = dffs
+            .iter()
+            .map(|&d| nets[nl.gate(d).inputs[0].index()])
+            .collect();
+        // target: monitored output takes the value in this frame
+        let out = map.lit_of(&aig, nets[target_net.index()], &mut solver);
+        let target = if target_value { out } else { !out };
+        if let SatResult::Sat(model) = solver.solve_with_assumptions(&[target]) {
             let witness = frames
                 .iter()
-                .map(|fr| {
-                    fr.input_vars
-                        .iter()
-                        .map(|v| model[v.index()])
-                        .collect::<Vec<bool>>()
-                })
+                .map(|vars| vars.iter().map(|v| model[v.index()]).collect())
                 .collect();
             return Ok(BmcResult::Reachable(witness));
         }

@@ -6,17 +6,20 @@
 //! the absence of vulnerabilities" mode the paper's red-team/blue-team
 //! discussion contrasts with mere simulation.
 //!
-//! The proof loop shares ONE good-circuit encoding and one persistent
-//! solver across the whole fault universe: each fault contributes only
-//! its selector-gated fan-out cone (see
-//! [`encode_faulty_cone`]), activated by assumption and retired after
-//! its query. Faults whose cone reaches no functional output are proven
-//! detected-or-masked without any solver call at all.
+//! The proof loop shares ONE good-circuit AIG and one persistent solver
+//! across the whole fault universe: each fault re-lowers only its
+//! fan-out cone ([`lower_fault_cone`]) and asks one query under two
+//! assumptions: "some functional output differs" and "the faulty alarm
+//! stays low". Node clauses only define fresh variables, so nothing is
+//! retired between faults. Faults whose functional difference folds to
+//! constant false are proven detected-or-masked without any solver
+//! call at all.
 
 use seceda_fia::codes::ProtectedNetlist;
 use seceda_netlist::NetlistError;
 use seceda_sat::{
-    encode_faulty_cone, encode_netlist, Budget, CnfBuilder, GatedCnf, SolveOutcome, Solver,
+    lower_fault_cone, lower_netlist, output_edges, Aig, AigCnf, AigLit, Budget, SolveOutcome,
+    Solver,
 };
 use seceda_sim::{fault::stuck_at_universe, Fault, FaultKind};
 
@@ -90,62 +93,50 @@ pub fn prove_detection_budgeted(
         .filter(|f| nl.net(f.net).driver.is_some())
         .collect();
     let mut solver = Solver::new(0);
-    let good = encode_netlist(nl, &mut solver)?;
-    let f0 = solver.new_var();
-    solver.add_clause([f0.neg()]);
+    let mut aig = Aig::new();
+    let mut map = AigCnf::new(&mut solver);
+    let (input_vars, inputs) = aig.fresh_inputs(nl.inputs().len(), &mut solver);
+    let (_, state) = aig.fresh_inputs(nl.dffs().len(), &mut solver);
+    let good = lower_netlist(nl, &mut aig, &inputs, &state)?;
+    let good_outs = output_edges(nl, &good);
     let mut proven = 0usize;
     let mut violations = Vec::new();
     let mut undecided = Vec::new();
     for &fault in &faults {
-        let faulty_source = match fault.kind {
-            FaultKind::StuckAt0 => f0.pos(),
-            FaultKind::StuckAt1 => f0.neg(),
-            FaultKind::BitFlip => good.vars[fault.net.index()].neg(),
+        let faulty = match fault.kind {
+            FaultKind::StuckAt0 => AigLit::FALSE,
+            FaultKind::StuckAt1 => AigLit::TRUE,
+            FaultKind::BitFlip => !good[fault.net.index()],
         };
-        let sel = solver.new_var();
-        let guard = sel.neg();
-        let cone = encode_faulty_cone(nl, &good, fault.net, faulty_source, guard, &mut solver)?;
-        let func: Vec<_> = cone
-            .iter()
-            .copied()
-            .filter(|&(k, _)| k != alarm_index)
-            .collect();
-        if func.is_empty() {
+        let outs = lower_fault_cone(nl, &mut aig, &good, fault.net, faulty)?;
+        // some functional output differs ...
+        let corrupt = aig.any_diff(
+            good_outs
+                .iter()
+                .zip(&outs)
+                .enumerate()
+                .filter(|&(k, _)| k != alarm_index)
+                .map(|(_, (&g, &f))| (g, f)),
+        );
+        if corrupt == AigLit::FALSE {
             // the fault cannot reach any functional output, so silent
             // corruption is structurally impossible
-            solver.add_clause([guard]);
             proven += 1;
             continue;
         }
-        // the faulty design's alarm: its cone literal if the fault can
-        // reach the alarm, the shared good literal otherwise
-        let alarm_lit = cone
-            .iter()
-            .find(|&&(k, _)| k == alarm_index)
-            .map(|&(_, l)| l)
-            .unwrap_or_else(|| good.output_vars[alarm_index].pos());
-        // some functional output differs
-        let mut gated = GatedCnf::new(&mut solver, guard);
-        let mut diffs = Vec::new();
-        for &(k, flit) in &func {
-            let d = gated.new_var().pos();
-            let good_out = good.output_vars[k].pos();
-            gated.gate_xor(d, good_out, flit);
-            diffs.push(d);
-        }
-        gated.add_clause(diffs);
-        // ... while the alarm stays low; the remaining budget is
+        let corrupt = map.lit_of(&aig, corrupt, &mut solver);
+        let alarm = map.lit_of(&aig, outs[alarm_index], &mut solver);
+        // ... while the faulty alarm stays low; the remaining budget is
         // whatever earlier queries did not spend
         let sub = budget.minus(solver.num_conflicts, solver.num_propagations);
-        match solver.solve_budgeted(&[sel.pos(), !alarm_lit], &sub) {
+        match solver.solve_budgeted(&[corrupt, !alarm], &sub) {
             SolveOutcome::Unsat => proven += 1,
             SolveOutcome::Sat(model) => {
-                let witness = good.input_vars.iter().map(|v| model[v.index()]).collect();
+                let witness = input_vars.iter().map(|v| model[v.index()]).collect();
                 violations.push((fault, witness));
             }
             SolveOutcome::Indeterminate(_) => undecided.push(fault),
         }
-        solver.add_clause([guard]);
     }
     if !undecided.is_empty() {
         seceda_trace::counter("verif.undecided_faults", undecided.len() as u64);

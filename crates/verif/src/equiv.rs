@@ -1,7 +1,7 @@
 //! SAT-based combinational equivalence checking.
 
 use seceda_netlist::{Netlist, NetlistError};
-use seceda_sat::{miter, Cnf, SatResult, Solver};
+use seceda_sat::{lower_netlist, output_edges, Aig, AigCnf, AigLit, SatResult, Solver};
 
 /// Outcome of an equivalence check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,21 +22,48 @@ impl EquivResult {
 /// Checks combinational equivalence of two netlists with matching
 /// interfaces.
 ///
+/// Both circuits lower into one structurally-hashed AIG over shared
+/// input nodes, so every subcircuit they have in common becomes one
+/// node. When the miter ("some output differs") folds to constant
+/// false, the proof is complete without a solver call; otherwise the
+/// solver decides the remaining miter. DFF outputs are free variables,
+/// independent per circuit.
+///
 /// # Errors
 ///
 /// Returns a netlist error if either circuit is cyclic.
 ///
 /// # Panics
 ///
-/// Panics if the interfaces do not match (see [`miter`]).
+/// Panics if the interfaces (input/output counts) do not match.
 pub fn check_equivalence(a: &Netlist, b: &Netlist) -> Result<EquivResult, NetlistError> {
-    let mut cnf = Cnf::new();
-    let (enc_a, _, diff) = miter(a, b, &mut cnf)?;
-    let mut solver = Solver::from_cnf(&cnf);
+    assert_eq!(
+        a.inputs().len(),
+        b.inputs().len(),
+        "equivalence needs matching input counts"
+    );
+    assert_eq!(
+        a.outputs().len(),
+        b.outputs().len(),
+        "equivalence needs matching output counts"
+    );
+    let mut solver = Solver::new(0);
+    let mut aig = Aig::new();
+    let (input_vars, inputs) = aig.fresh_inputs(a.inputs().len(), &mut solver);
+    let mut lower = |nl: &Netlist| {
+        let (_, state) = aig.fresh_inputs(nl.dffs().len(), &mut solver);
+        lower_netlist(nl, &mut aig, &inputs, &state).map(|nets| output_edges(nl, &nets))
+    };
+    let (outs_a, outs_b) = (lower(a)?, lower(b)?);
+    let diff = aig.any_diff(outs_a.into_iter().zip(outs_b));
+    if diff == AigLit::FALSE {
+        return Ok(EquivResult::Equivalent);
+    }
+    let diff = AigCnf::new(&mut solver).lit_of(&aig, diff, &mut solver);
     Ok(match solver.solve_with_assumptions(&[diff]) {
         SatResult::Unsat => EquivResult::Equivalent,
         SatResult::Sat(model) => {
-            EquivResult::Counterexample(enc_a.input_vars.iter().map(|v| model[v.index()]).collect())
+            EquivResult::Counterexample(input_vars.iter().map(|v| model[v.index()]).collect())
         }
     })
 }
@@ -61,6 +88,27 @@ mod tests {
         assert!(check_equivalence(&nl, &back)
             .expect("check")
             .is_equivalent());
+    }
+
+    #[test]
+    fn differently_built_xors_are_equivalent() {
+        let mut a = Netlist::new("xor1");
+        let x = a.add_input("x");
+        let y = a.add_input("y");
+        let out = a.add_gate(CellKind::Xor, &[x, y]);
+        a.mark_output(out, "o");
+
+        let mut b = Netlist::new("xor2");
+        let x2 = b.add_input("x");
+        let y2 = b.add_input("y");
+        let nx = b.add_gate(CellKind::Not, &[x2]);
+        let ny = b.add_gate(CellKind::Not, &[y2]);
+        let t1 = b.add_gate(CellKind::And, &[x2, ny]);
+        let t2 = b.add_gate(CellKind::And, &[nx, y2]);
+        let out2 = b.add_gate(CellKind::Or, &[t1, t2]);
+        b.mark_output(out2, "o");
+
+        assert!(check_equivalence(&a, &b).expect("check").is_equivalent());
     }
 
     #[test]

@@ -22,6 +22,14 @@ cargo build --benches --offline
 echo "==> cargo test -q --offline"
 cargo test -q --offline
 
+# The differential suites again in release mode, so a debug-only branch
+# (a debug_assert, an overflow check) cannot hide a divergence between
+# an engine and its reference.
+echo "==> differential suites in release mode"
+cargo test -q --release --offline -p seceda-core --test sat_clients --test incremental_compose
+cargo test -q --release --offline -p seceda-sim --test packed_fault
+cargo test -q --release --offline -p seceda-lock --test properties
+
 # The chaos suite runs once per pinned seed with the harness
 # ambient-armed: every injection decision is a pure function of
 # (seed, point, salt), so both runs are reproducible bit for bit.

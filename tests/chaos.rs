@@ -9,8 +9,8 @@
 //! overrides the environment), except the ambient-survival test, which
 //! deliberately runs under whatever the environment armed.
 //!
-//! Chaos scopes serialize on a process-wide lock and are NOT reentrant:
-//! never nest `with_seed` / `with_forced` / `without_chaos`.
+//! Chaos scopes are thread-local (inherited by `par` workers), so the
+//! tests here run concurrently without seeing each other's scopes.
 
 use seceda_core::{CompositionEngine, DesignUnderTest, MetricValue, SecurityEvaluation, Verdict};
 use seceda_fia::codes::duplicate_with_compare;

@@ -3,7 +3,7 @@
 //! function preservation as the invariant.
 
 use seceda_netlist::{format_netlist, parse_netlist, random_circuit, RandomCircuitConfig};
-use seceda_sat::{encode_netlist, Cnf, SatResult, Solver};
+use seceda_sat::{lower_netlist, output_edges, Aig, AigCnf, Cnf, Lit, SatResult, Solver};
 use seceda_sca::mask_netlist;
 use seceda_sim::{pack_patterns, PackedSim};
 use seceda_synth::{
@@ -69,9 +69,15 @@ proptest! {
         prop_assert_eq!(&packed, &expected);
         // CNF encoding agrees
         let mut cnf = Cnf::new();
-        let enc = encode_netlist(&nl, &mut cnf).expect("encode");
-        let assumptions: Vec<_> = enc
-            .input_vars
+        let mut map = AigCnf::new(&mut cnf);
+        let mut aig = Aig::new();
+        let (in_vars, ins) = aig.fresh_inputs(6, &mut cnf);
+        let nets = lower_netlist(&nl, &mut aig, &ins, &[]).expect("lower");
+        let outs: Vec<Lit> = output_edges(&nl, &nets)
+            .into_iter()
+            .map(|o| map.lit_of(&aig, o, &mut cnf))
+            .collect();
+        let assumptions: Vec<_> = in_vars
             .iter()
             .zip(&pattern)
             .map(|(v, &b)| v.lit(b))
@@ -80,7 +86,7 @@ proptest! {
         match solver.solve_with_assumptions(&assumptions) {
             SatResult::Sat(model) => {
                 let sat_outs: Vec<bool> =
-                    enc.output_vars.iter().map(|v| model[v.index()]).collect();
+                    outs.iter().map(|l| l.eval(model[l.var().index()])).collect();
                 prop_assert_eq!(&sat_outs, &expected);
             }
             SatResult::Unsat => prop_assert!(false, "concrete inputs cannot be unsat"),
