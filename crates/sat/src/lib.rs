@@ -50,6 +50,7 @@ pub mod aig;
 
 mod budget;
 mod cnf;
+mod encode;
 mod portfolio;
 mod solver;
 
