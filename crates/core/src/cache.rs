@@ -2,9 +2,10 @@
 //! composition engine.
 //!
 //! A [`CacheKey`] is a threat vector plus a 128-bit *dependency digest*
-//! covering everything the threat's evaluator reads: the relevant
-//! structural cone digests of the design under test (see
-//! `seceda_netlist::StructuralHash`) and the evaluation parameters. The
+//! covering everything the threat's evaluator reads: the whole-design
+//! digest of the design under test where the evaluator reads its
+//! structure (see `seceda_netlist::StructuralHash`), the interface
+//! state it reads, and the evaluation parameters. The
 //! evaluators are deterministic pure functions of exactly those inputs,
 //! so a key hit returns bit-identically what a fresh evaluation would
 //! compute — the cache-correctness argument of DESIGN.md §3.
@@ -47,8 +48,9 @@ const SHARDS: usize = 16;
 pub struct CacheKey {
     /// The threat vector whose evaluator produced the metric.
     pub threat: ThreatVector,
-    /// Dependency digest: structural cone digests + evaluation
-    /// parameters, as built by the engine's per-threat key derivation.
+    /// Dependency digest: the design digest (where the evaluator reads
+    /// structure), interface state and evaluation parameters, as built
+    /// by the engine's per-threat key derivation.
     pub dep: [u64; 2],
 }
 

@@ -21,7 +21,7 @@ use seceda_fia::{
     ProtectedNetlist,
 };
 use seceda_lock::xor_lock;
-use seceda_netlist::{DigestBuilder, Netlist, NetlistError, StructuralHash};
+use seceda_netlist::{DesignDigest, DigestBuilder, Netlist, NetlistError, StructuralHash};
 use seceda_sca::{first_order_leaks, mask_netlist, ProbingModel};
 use seceda_sim::signal_probabilities;
 use seceda_testkit::chaos;
@@ -123,10 +123,6 @@ pub struct EvaluationOutcome {
     /// Names of metrics that regressed pass → fail in this step — the
     /// cross-effects the paper warns about.
     pub regressions: Vec<String>,
-    /// Gates whose structural fingerprint changed in this step — the
-    /// dirty cone that forced re-evaluation. `None` when the engine runs
-    /// without a cache (no hash is maintained then).
-    pub dirty_gates: Option<usize>,
 }
 
 /// The composition engine.
@@ -137,7 +133,6 @@ pub struct CompositionEngine {
     history: Vec<SecurityReport>,
     applied: Vec<Countermeasure>,
     cache: Option<Arc<EvalCache>>,
-    hash: Option<StructuralHash>,
 }
 
 impl CompositionEngine {
@@ -149,7 +144,6 @@ impl CompositionEngine {
             history: Vec::new(),
             applied: Vec::new(),
             cache: None,
-            hash: None,
         }
     }
 
@@ -157,7 +151,7 @@ impl CompositionEngine {
     /// shared [`EvalCache`].
     ///
     /// Every cache key binds a structural digest of *exactly* what the
-    /// corresponding evaluator reads (design fingerprint, interface
+    /// corresponding evaluator reads (design digest, interface
     /// state, thresholds, seeds), so a cache hit is bit-identical to a
     /// recompute — the differential suite in
     /// `tests/incremental_compose.rs` holds the engine to that contract.
@@ -172,7 +166,6 @@ impl CompositionEngine {
             history: Vec::new(),
             applied: Vec::new(),
             cache: Some(cache),
-            hash: None,
         }
     }
 
@@ -215,9 +208,10 @@ impl CompositionEngine {
         let mut eval_span = seceda_trace::span("compose.evaluate")
             .with("label", label)
             .with("gates", self.dut.netlist.num_gates());
-        if self.cache.is_some() && self.hash.is_none() {
-            self.hash = Some(StructuralHash::of(&self.dut.netlist)?);
-        }
+        let cache = match &self.cache {
+            Some(c) => Some((c.as_ref(), StructuralHash::of(&self.dut.netlist)?.digest())),
+            None => None,
+        };
         let threats: [(&str, ThreatVector, &str); 4] = [
             (
                 "side-channel",
@@ -237,8 +231,6 @@ impl CompositionEngine {
         let slice_deadline = self.eval.threat_budget.map(|d| Instant::now() + d);
         let dut = &self.dut;
         let eval = &self.eval;
-        let cache = self.cache.as_deref();
-        let hash = self.hash.as_ref();
         let results = par_map_catch(&threats, |i, &(tag, threat, name)| {
             let _threat_t = seceda_trace::hist_timer("compose.threat_ns");
             let _sp = seceda_trace::span("compose.threat").with("threat", tag);
@@ -280,11 +272,11 @@ impl CompositionEngine {
                     _ => unreachable!("four threat vectors"),
                 })
             };
-            let (metric, hit) = match (cache, hash) {
-                (Some(c), Some(h)) => {
-                    c.get_or_compute(threat_cache_key(threat, dut, eval, h), compute)?
+            let (metric, hit) = match cache {
+                Some((c, digest)) => {
+                    c.get_or_compute(threat_cache_key(threat, dut, eval, digest), compute)?
                 }
-                _ => (compute()?, false),
+                None => (compute()?, false),
             };
             if let Some(at) = slice_deadline {
                 if Instant::now() >= at {
@@ -296,7 +288,7 @@ impl CompositionEngine {
             }
             Ok((metric, hit))
         });
-        let caching = self.cache.is_some();
+        let caching = cache.is_some();
         let mut report = SecurityReport::new(label);
         let mut degraded = 0u64;
         let mut hits = 0u64;
@@ -391,7 +383,6 @@ impl CompositionEngine {
             apply_span.attr("countermeasure", format!("{cm:?}"));
         }
         let had_baseline = !self.history.is_empty();
-        let prev_hash = self.hash.take();
         match cm {
             Countermeasure::Masking => {
                 let masked = mask_netlist(&self.dut.netlist);
@@ -430,38 +421,6 @@ impl CompositionEngine {
             }
         }
         self.applied.push(cm);
-        // keep the structural hash alive across the edit and measure the
-        // dirty cone; without a cache no hash is maintained at all
-        let dirty_gates = match prev_hash {
-            Some(prev) => {
-                let new_hash = match cm {
-                    // XorLock and TrojanMonitor splice into a clone of
-                    // the design — surviving nets keep their structure —
-                    // so the incremental update re-fingerprints only the
-                    // edited cone
-                    Countermeasure::XorLock(_) | Countermeasure::TrojanMonitor => {
-                        let mut h = prev.clone();
-                        h.update_after_edit(&self.dut.netlist, &[])?;
-                        debug_assert_eq!(
-                            h,
-                            StructuralHash::of(&self.dut.netlist).expect("full rehash"),
-                            "incremental hash diverged after {cm:?}"
-                        );
-                        h
-                    }
-                    // masking / parity / duplication rebuild the netlist
-                    // wholesale; a full re-hash is the honest cost
-                    _ => StructuralHash::of(&self.dut.netlist)?,
-                };
-                let dirty = new_hash.dirty_gates(&self.dut.netlist, &prev).len();
-                seceda_trace::counter("compose.dirty_gates", dirty as u64);
-                apply_span.attr("dirty_gates", dirty);
-                self.hash = Some(new_hash);
-                Some(dirty)
-            }
-            // cache off, or nothing evaluated yet: stay lazy
-            None => None,
-        };
         let label = format!("after {cm:?}");
         self.evaluate(&label)?;
         // the baseline is borrowed from history rather than cloned —
@@ -482,7 +441,6 @@ impl CompositionEngine {
         Ok(EvaluationOutcome {
             report: self.history[last].clone(),
             regressions,
-            dirty_gates,
         })
     }
 
@@ -496,7 +454,6 @@ impl CompositionEngine {
     /// Returns the countermeasure that was rolled back.
     pub fn revert_last(&mut self, snapshot: DesignUnderTest) -> Option<Countermeasure> {
         self.dut = snapshot;
-        self.hash = None; // lazily re-hashed on the next evaluation
         self.applied.pop()
     }
 }
@@ -521,7 +478,7 @@ fn threat_cache_key(
     threat: ThreatVector,
     dut: &DesignUnderTest,
     eval: &SecurityEvaluation,
-    hash: &StructuralHash,
+    digest: DesignDigest,
 ) -> CacheKey {
     let mut b = DigestBuilder::new();
     match threat {
@@ -534,7 +491,7 @@ fn threat_cache_key(
                         == model.num_secrets * seceda_sca::NUM_SHARES + model.num_randoms =>
                 {
                     b.absorb(1);
-                    b.absorb_digest(hash.digest());
+                    b.absorb_digest(digest);
                     b.absorb(model.num_secrets as u64);
                     b.absorb(model.num_randoms as u64);
                 }
@@ -545,7 +502,7 @@ fn threat_cache_key(
             }
         }
         ThreatVector::FaultInjection => {
-            b.absorb_digest(hash.digest());
+            b.absorb_digest(digest);
             b.absorb(match dut.alarm_index {
                 Some(i) => i as u64 + 1,
                 None => 0,
@@ -564,7 +521,7 @@ fn threat_cache_key(
                 b.absorb(1); // monitored designs report zero surface
             } else {
                 b.absorb(0);
-                b.absorb_digest(hash.digest());
+                b.absorb_digest(digest);
                 b.absorb(eval.rare_threshold.to_bits());
                 b.absorb(eval.seed);
             }

