@@ -17,7 +17,7 @@
 
 use seceda_netlist::{alu_slice, random_circuit, ripple_adder, Netlist, RandomCircuitConfig};
 use seceda_sim::{fault::stuck_at_universe, FaultSim, Lane256, SimWord};
-use seceda_testkit::bench::{target_dir, time_median};
+use seceda_testkit::bench::{target_dir, time_median_warm};
 use seceda_testkit::json::Json;
 use seceda_testkit::rng::{Rng, SeedableRng, StdRng};
 
@@ -41,19 +41,27 @@ fn random_patterns(nl: &Netlist, n: usize, seed: u64) -> Vec<Vec<bool>> {
         .collect()
 }
 
+/// Quick mode times each case as the median of [`QUICK_SAMPLES`] runs
+/// after one untimed warm-up: a single cold sample of a sub-millisecond
+/// case is mostly noise, and `bench_report` diffs these rows.
+const QUICK_SAMPLES: usize = 5;
+
 fn run_case(
     name: &str,
     nl: &Netlist,
     num_patterns: usize,
     scalar_samples: usize,
     packed_samples: usize,
+    warmups: usize,
 ) -> CaseResult {
     let sim = FaultSim::new(nl).expect("combinational workload");
     let faults = stuck_at_universe(nl);
     let patterns = random_patterns(nl, num_patterns, 0xFA57);
-    let (scalar_ns, scalar) =
-        time_median(scalar_samples, || sim.coverage_scalar(&patterns, &faults));
-    let (packed_ns, packed) = time_median(packed_samples, || sim.coverage(&patterns, &faults));
+    let (scalar_ns, scalar) = time_median_warm(warmups, scalar_samples, || {
+        sim.coverage_scalar(&patterns, &faults)
+    });
+    let (packed_ns, packed) =
+        time_median_warm(warmups, packed_samples, || sim.coverage(&patterns, &faults));
     CaseResult {
         name: name.to_string(),
         gates: nl.num_gates(),
@@ -82,14 +90,28 @@ fn main() {
     };
     let results: Vec<CaseResult> = if quick {
         vec![
-            run_case("ripple_adder_4", &ripple_adder(4), 16, 1, 1),
-            run_case("random_60", &random_cfg(60, 8, 4, 3), 16, 1, 1),
+            run_case(
+                "ripple_adder_4",
+                &ripple_adder(4),
+                16,
+                QUICK_SAMPLES,
+                QUICK_SAMPLES,
+                1,
+            ),
+            run_case(
+                "random_60",
+                &random_cfg(60, 8, 4, 3),
+                16,
+                QUICK_SAMPLES,
+                QUICK_SAMPLES,
+                1,
+            ),
         ]
     } else {
         vec![
-            run_case("ripple_adder_32", &ripple_adder(32), 256, 3, 5),
-            run_case("alu_slice_16", &alu_slice(16), 256, 3, 5),
-            run_case("random_2000", &random_cfg(2000, 32, 16, 3), 256, 3, 5),
+            run_case("ripple_adder_32", &ripple_adder(32), 256, 3, 5, 0),
+            run_case("alu_slice_16", &alu_slice(16), 256, 3, 5, 0),
+            run_case("random_2000", &random_cfg(2000, 32, 16, 3), 256, 3, 5, 0),
         ]
     };
 

@@ -15,7 +15,7 @@
 //! by `scripts/verify.sh`.
 
 use seceda_netlist::{parse_bench, random_circuit, write_bench, RandomCircuitConfig};
-use seceda_testkit::bench::{target_dir, time_median};
+use seceda_testkit::bench::{target_dir, time_median_warm};
 use seceda_testkit::json::Json;
 
 struct CaseResult {
@@ -28,7 +28,12 @@ struct CaseResult {
     roundtrip_exact: bool,
 }
 
-fn run_case(name: &str, num_gates: usize, samples: usize) -> CaseResult {
+/// Quick mode times each case as the median of [`QUICK_SAMPLES`] runs
+/// after one untimed warm-up: a single cold sample of a sub-millisecond
+/// case is mostly noise, and `bench_report` diffs these rows.
+const QUICK_SAMPLES: usize = 5;
+
+fn run_case(name: &str, num_gates: usize, samples: usize, warmups: usize) -> CaseResult {
     let original = random_circuit(&RandomCircuitConfig {
         num_inputs: 64.min(num_gates),
         num_gates,
@@ -37,8 +42,10 @@ fn run_case(name: &str, num_gates: usize, samples: usize) -> CaseResult {
         seed: 0xBE7C,
     });
     let text = write_bench(&original);
-    let (parse_ns, parsed) = time_median(samples, || parse_bench(&text).expect("parse"));
-    let (topo_ns, order) = time_median(samples, || parsed.topo_order().expect("acyclic"));
+    let (parse_ns, parsed) =
+        time_median_warm(warmups, samples, || parse_bench(&text).expect("parse"));
+    let (topo_ns, order) =
+        time_median_warm(warmups, samples, || parsed.topo_order().expect("acyclic"));
     assert_eq!(order.len(), num_gates, "{name}: topo covers all gates");
     CaseResult {
         name: name.to_string(),
@@ -56,13 +63,13 @@ fn main() {
     let quick = std::env::var("SECEDA_BENCH_QUICK").is_ok_and(|v| v != "0");
     let results: Vec<CaseResult> = if quick {
         vec![
-            run_case("parse_1k", 1_000, 1),
-            run_case("parse_5k", 5_000, 1),
+            run_case("parse_1k", 1_000, QUICK_SAMPLES, 1),
+            run_case("parse_5k", 5_000, QUICK_SAMPLES, 1),
         ]
     } else {
         vec![
-            run_case("parse_10k", 10_000, 5),
-            run_case("parse_100k", 100_000, 3),
+            run_case("parse_10k", 10_000, 5, 0),
+            run_case("parse_100k", 100_000, 3, 0),
         ]
     };
 

@@ -22,7 +22,7 @@ use seceda_lock::{
 };
 use seceda_netlist::{c17, random_circuit, Netlist, RandomCircuitConfig};
 use seceda_sat::Budget;
-use seceda_testkit::bench::{target_dir, time_median};
+use seceda_testkit::bench::{target_dir, time_median_warm};
 use seceda_testkit::json::Json;
 
 struct CaseResult {
@@ -51,19 +51,31 @@ fn key_is_correct(locked: &LockedNetlist, original: &Netlist, key: &[bool]) -> b
     })
 }
 
-fn run_case(name: &str, original: &Netlist, key_width: usize, samples: usize) -> CaseResult {
+/// Quick mode times each case as the median of [`QUICK_SAMPLES`] runs
+/// after one untimed warm-up: a single cold sample of a sub-millisecond
+/// case is mostly noise, and `bench_report` diffs these rows.
+const QUICK_SAMPLES: usize = 5;
+
+fn run_case(
+    name: &str,
+    original: &Netlist,
+    key_width: usize,
+    samples: usize,
+    warmups: usize,
+) -> CaseResult {
     let locked = xor_lock(original, key_width, 7);
     let oracle = |x: &[bool]| original.evaluate(x);
-    let (rebuild_ns, rebuild) = time_median(samples, || {
+    let (rebuild_ns, rebuild) = time_median_warm(warmups, samples, || {
         sat_attack_rebuild(&locked, oracle)
             .expect("rebuild attack runs")
             .expect("rebuild attack finds a key")
     });
-    let (incremental_ns, incremental): (u128, SatAttackResult) = time_median(samples, || {
-        sat_attack(&locked, oracle)
-            .expect("incremental attack runs")
-            .expect("incremental attack finds a key")
-    });
+    let (incremental_ns, incremental): (u128, SatAttackResult) =
+        time_median_warm(warmups, samples, || {
+            sat_attack(&locked, oracle)
+                .expect("incremental attack runs")
+                .expect("incremental attack finds a key")
+        });
     // budgeted probe: a one-conflict budget suspends almost
     // immediately; resuming the checkpoint unbudgeted must land on the
     // exact key and DIP count of the straight-through attack, so the
@@ -123,16 +135,16 @@ fn main() {
     });
     let results: Vec<CaseResult> = if quick {
         vec![
-            run_case("c17_xor4", &c17(), 4, 1),
-            run_case("c17_xor12", &c17(), 12, 1),
+            run_case("c17_xor4", &c17(), 4, QUICK_SAMPLES, 1),
+            run_case("c17_xor12", &c17(), 12, QUICK_SAMPLES, 1),
         ]
     } else {
         vec![
-            run_case("c17_xor8", &c17(), 8, 3),
-            run_case("rand300_xor16", &big, 16, 3),
-            run_case("rand300_xor32", &big, 32, 3),
-            run_case("rand300_xor48", &big, 48, 3),
-            run_case("rand300_xor64", &big, 64, 3),
+            run_case("c17_xor8", &c17(), 8, 3, 0),
+            run_case("rand300_xor16", &big, 16, 3, 0),
+            run_case("rand300_xor32", &big, 32, 3, 0),
+            run_case("rand300_xor48", &big, 48, 3, 0),
+            run_case("rand300_xor64", &big, 64, 3, 0),
         ]
     };
 

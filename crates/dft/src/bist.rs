@@ -1,7 +1,7 @@
 //! Logic built-in self test: LFSR stimulus, MISR compaction.
 
 use seceda_netlist::{Netlist, NetlistError};
-use seceda_sim::{pack_patterns, Fault, PackedFaultSim};
+use seceda_sim::{pack_patterns, Fault, PackedSim};
 
 /// A Fibonacci LFSR over up to 64 bits with a fixed maximal-ish tap set.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -133,7 +133,8 @@ pub struct BistResult {
 /// (empty slice = golden run).
 ///
 /// LFSR patterns are applied in 64-pattern packed batches (the faulty
-/// responses of all 64 come from one bit-parallel pass), then unpacked
+/// responses of all 64 come from one bit-parallel pass of the forced
+/// evaluation kernel, every fault forced in every lane), then unpacked
 /// and absorbed by the MISR in LFSR order — the signature is
 /// bit-identical to the per-pattern scalar run.
 ///
@@ -145,21 +146,22 @@ pub fn run_bist(
     config: &BistConfig,
     faults: &[Fault],
 ) -> Result<BistResult, NetlistError> {
-    let sim = PackedFaultSim::new(nl)?;
+    let sim = PackedSim::new(nl)?;
+    let sites: Vec<(Fault, u64)> = faults.iter().map(|&f| (f, u64::MAX)).collect();
+    let mut values = Vec::new();
     let mut lfsr = Lfsr::new(config.seed, 16);
     let mut misr = Misr::new(config.misr_width);
     let n = nl.inputs().len();
-    let num_outputs = nl.outputs().len();
-    let mut response = vec![false; num_outputs];
+    let mut response = vec![false; nl.outputs().len()];
     let mut remaining = config.patterns;
     while remaining > 0 {
         let batch = remaining.min(64);
         let patterns: Vec<Vec<bool>> = (0..batch).map(|_| lfsr.pattern(n)).collect();
         let words = pack_patterns(&patterns, n);
-        let outs = sim.eval_outputs_with_faults(&words, faults);
+        sim.eval_forced_into(&words, &sites, &mut values);
         for p in 0..batch {
-            for (o, &word) in outs.iter().enumerate() {
-                response[o] = (word >> p) & 1 == 1;
+            for (bit, &(net, _)) in response.iter_mut().zip(nl.outputs()) {
+                *bit = (values[net.index()] >> p) & 1 == 1;
             }
             misr.absorb(&response);
         }

@@ -4,7 +4,7 @@
 use crate::campaign::FaultCampaign;
 use crate::codes::ProtectedNetlist;
 use seceda_netlist::NetlistError;
-use seceda_sim::FaultSim;
+use seceda_sim::{Fault, Lane256, PackedSim, SimWord};
 use seceda_testkit::rng::{Rng, SeedableRng, StdRng};
 
 /// Classification of one fault shot under one stimulus.
@@ -53,6 +53,14 @@ impl FaultAnalysis {
 /// changed output counts as [`FaultOutcome::SilentCorruption`] — use the
 /// coverage to measure *correction* instead.
 ///
+/// The (shot, stimulus) events are graded on 256-lane packed words.
+/// Stimulus *g* = `shot · stimuli_per_shot + i` sits in lane `g mod 256`
+/// of chunk `g / 256`; its input bits are drawn from one RNG stream in
+/// that order (shot, then stimulus, then input). Each chunk takes one
+/// good pass and one faulty pass, in which every shot forces its faults
+/// in its own lanes only. An event's outcome is a function of its lane
+/// alone, so the counts equal those of grading each event by itself.
+///
 /// # Errors
 ///
 /// Propagates simulator errors.
@@ -63,10 +71,11 @@ pub fn analyze_faults(
     seed: u64,
 ) -> Result<FaultAnalysis, NetlistError> {
     let nl = &protected.netlist;
-    let sim = FaultSim::new(nl)?;
+    let sim = PackedSim::new(nl)?;
     let shots = campaign.generate(nl);
     let mut rng = StdRng::seed_from_u64(seed);
-    let num_inputs = nl.inputs().len();
+    let spp = stimuli_per_shot;
+    let events = shots.len() * spp;
     let mut analysis = FaultAnalysis {
         masked: 0,
         detected: 0,
@@ -74,40 +83,49 @@ pub fn analyze_faults(
         false_alarms: 0,
         detection_coverage: 1.0,
     };
-    for shot in &shots {
-        for _ in 0..stimuli_per_shot {
-            let inputs: Vec<bool> = (0..num_inputs).map(|_| rng.gen()).collect();
-            let good = sim.outputs(&sim.eval_with_faults(&inputs, &[]));
-            let bad = sim.outputs(&sim.eval_with_faults(&inputs, shot));
-            let (good_f, good_alarm, bad_f, bad_alarm) = match protected.alarm_index {
-                Some(ai) => {
-                    let split = |v: &[bool]| {
-                        let alarm = v[ai];
-                        let mut f = v.to_vec();
-                        f.remove(ai);
-                        (f, alarm)
-                    };
-                    let (gf, ga) = split(&good);
-                    let (bf, ba) = split(&bad);
-                    (gf, ga, bf, ba)
+    // one set of full-width buffers per call, reused by every pass
+    let mut inputs = vec![Lane256::ZERO; nl.inputs().len()];
+    let mut values = Vec::new();
+    let mut sites: Vec<(Fault, Lane256)> = Vec::new();
+    for start in (0..events).step_by(Lane256::BITS) {
+        let lanes = (events - start).min(Lane256::BITS);
+        inputs.fill(Lane256::ZERO);
+        for lane in 0..lanes {
+            for word in inputs.iter_mut() {
+                if rng.gen() {
+                    word.0[lane / 64] |= 1 << (lane % 64);
                 }
-                None => (good.clone(), false, bad.clone(), false),
-            };
-            debug_assert!(!good_alarm, "golden run must not alarm");
-            let corrupted = good_f != bad_f;
-            let outcome = match (corrupted, bad_alarm) {
-                (false, false) => FaultOutcome::Masked,
-                (false, true) => FaultOutcome::FalseAlarm,
-                (true, true) => FaultOutcome::Detected,
-                (true, false) => FaultOutcome::SilentCorruption,
-            };
-            match outcome {
-                FaultOutcome::Masked => analysis.masked += 1,
-                FaultOutcome::Detected => analysis.detected += 1,
-                FaultOutcome::SilentCorruption => analysis.silent += 1,
-                FaultOutcome::FalseAlarm => analysis.false_alarms += 1,
             }
         }
+        sites.clear();
+        // the shots with stimuli in this chunk, each under its own lanes
+        let (first, last) = (start / spp, (start + lanes - 1) / spp);
+        for (s, shot) in (first..).zip(&shots[first..=last]) {
+            let lo = (s * spp).max(start) - start;
+            let hi = ((s + 1) * spp).min(start + lanes) - start;
+            let mask = lane_range(lo, hi);
+            sites.extend(shot.iter().map(|&f| (f, mask)));
+        }
+        sim.eval_forced_into(&inputs, &[], &mut values);
+        let good = sim.outputs(&values);
+        sim.eval_forced_into(&inputs, &sites, &mut values);
+        let valid = Lane256::low_mask(lanes);
+        let mut corrupt = Lane256::ZERO;
+        let mut alarm = Lane256::ZERO;
+        for (o, (&(net, _), &g)) in nl.outputs().iter().zip(&good).enumerate() {
+            let bad = values[net.index()];
+            if protected.alarm_index == Some(o) {
+                debug_assert!(!(g & valid).any(), "golden run must not alarm");
+                alarm = bad;
+            } else {
+                corrupt = corrupt | (g ^ bad);
+            }
+        }
+        let count = |w: Lane256| (w & valid).count_ones() as usize;
+        analysis.masked += count(!corrupt & !alarm);
+        analysis.false_alarms += count(!corrupt & alarm);
+        analysis.detected += count(corrupt & alarm);
+        analysis.silent += count(corrupt & !alarm);
     }
     let corrupting = analysis.detected + analysis.silent;
     analysis.detection_coverage = if corrupting == 0 {
@@ -116,6 +134,16 @@ pub fn analyze_faults(
         analysis.detected as f64 / corrupting as f64
     };
     Ok(analysis)
+}
+
+/// The mask of lanes `lo..hi` (`lo < hi <= 256`).
+fn lane_range(lo: usize, hi: usize) -> Lane256 {
+    let below = if lo == 0 {
+        Lane256::ZERO
+    } else {
+        Lane256::low_mask(lo)
+    };
+    Lane256::low_mask(hi) & !below
 }
 
 #[cfg(test)]

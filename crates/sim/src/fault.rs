@@ -86,12 +86,14 @@ pub fn stuck_at_universe(nl: &Netlist) -> Vec<Fault> {
 
 /// Combinational fault simulator.
 ///
-/// Scalar fault injection ([`FaultSim::eval_with_faults`]) stays
-/// available for transient multi-fault campaigns; the grading entry
-/// points ([`FaultSim::detects`], [`FaultSim::coverage`]) delegate to
-/// the bit-parallel, fault-dropping [`PackedFaultSim`] engine and are
-/// bit-identical to the retained scalar reference
-/// ([`FaultSim::coverage_scalar`]).
+/// The grading entry points ([`FaultSim::detects`],
+/// [`FaultSim::coverage`]) delegate to the bit-parallel, fault-dropping
+/// [`PackedFaultSim`] engine and are bit-identical to the retained
+/// scalar reference ([`FaultSim::coverage_scalar`]). Transient
+/// multi-fault campaigns run on the packed forced-evaluation kernel
+/// ([`crate::PackedSim::eval_forced_into`]); scalar injection
+/// ([`FaultSim::eval_with_faults`]) is the reference tests check it
+/// against.
 #[derive(Debug)]
 pub struct FaultSim<'a> {
     nl: &'a Netlist,
@@ -138,7 +140,11 @@ impl<'a> FaultSim<'a> {
     ///
     /// Faults take effect at the moment the net is assigned: input faults
     /// corrupt the applied stimulus, gate-output faults corrupt the
-    /// computed value.
+    /// computed value; the last fault listed for a net wins.
+    ///
+    /// This is the scalar reference for the packed forced-evaluation
+    /// kernel ([`crate::PackedSim::eval_forced_into`]); only tests and
+    /// the scalar reference graders call it.
     ///
     /// # Panics
     ///

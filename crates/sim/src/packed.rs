@@ -4,6 +4,7 @@
 //! *k*. This is the standard trick that makes statistical analyses (signal
 //! probabilities, MERO N-detect test generation, fault grading) tractable.
 
+use crate::fault::{Fault, FaultKind};
 use crate::simword::SimWord;
 use seceda_netlist::{CellKind, Gate, GateId, Netlist, NetlistError};
 
@@ -62,20 +63,56 @@ pub(crate) fn eval_gate(g: &Gate, values: &[u64]) -> u64 {
     eval_gate_w::<u64>(g, values)
 }
 
-/// Evaluates every net of `nl` at any lane width: one pass over a
-/// precomputed combinational topological `order`, DFF outputs held at
-/// all-zero (the pseudo-input convention used everywhere else).
-pub(crate) fn eval_nets_w<W: SimWord>(nl: &Netlist, order: &[GateId], inputs: &[W]) -> Vec<W> {
-    assert_eq!(inputs.len(), nl.inputs().len(), "input width mismatch");
-    let mut values = vec![W::ZERO; nl.num_nets()];
-    for (k, &pi) in nl.inputs().iter().enumerate() {
-        values[pi.index()] = inputs[k];
+/// The forcing of one net in a forced-evaluation pass: in the lanes of
+/// `sa0` the net reads 0, in those of `sa1` it reads 1, in those of
+/// `flip` it reads the inverse of its computed value. The three masks
+/// are disjoint.
+#[derive(Debug, Clone, Copy)]
+struct Forcing<W> {
+    net: u32,
+    sa0: W,
+    sa1: W,
+    flip: W,
+}
+
+impl<W: SimWord> Forcing<W> {
+    fn apply(&self, computed: W) -> W {
+        ((computed ^ self.flip) & !self.sa0) | self.sa1
     }
-    for &gid in order {
-        let g = nl.gate(gid);
-        values[g.output.index()] = eval_gate_w(g, &values);
+}
+
+/// Folds `(fault, lane mask)` sites into one [`Forcing`] per net,
+/// sorted by net. Sites on the same net are taken in listing order and
+/// a later site takes over the lanes of an earlier one, so a net listed
+/// twice is forced once with the last kind (a flip listed twice flips
+/// once).
+fn forcings<W: SimWord>(sites: &[(Fault, W)]) -> Vec<Forcing<W>> {
+    let mut by_net: Vec<usize> = (0..sites.len()).collect();
+    // stable: equal nets keep their listing order
+    by_net.sort_by_key(|&i| sites[i].0.net.index());
+    let mut out: Vec<Forcing<W>> = Vec::with_capacity(sites.len());
+    for i in by_net {
+        let (fault, mask) = sites[i];
+        let net = fault.net.index() as u32;
+        if out.last().is_none_or(|f| f.net != net) {
+            out.push(Forcing {
+                net,
+                sa0: W::ZERO,
+                sa1: W::ZERO,
+                flip: W::ZERO,
+            });
+        }
+        let f = out.last_mut().expect("pushed above");
+        f.sa0 = f.sa0 & !mask;
+        f.sa1 = f.sa1 & !mask;
+        f.flip = f.flip & !mask;
+        match fault.kind {
+            FaultKind::StuckAt0 => f.sa0 = f.sa0 | mask,
+            FaultKind::StuckAt1 => f.sa1 = f.sa1 | mask,
+            FaultKind::BitFlip => f.flip = f.flip | mask,
+        }
     }
-    values
+    out
 }
 
 /// Packs scalar pattern bits into input words of any lane width:
@@ -192,9 +229,67 @@ impl<'a> PackedSim<'a> {
         values
     }
 
+    /// Evaluates `W::BITS` patterns with faults forced under lane masks,
+    /// writing one word per net into `values` (resized to the net
+    /// count, so one buffer serves every pass of a caller).
+    ///
+    /// `sites[j] = (fault, mask)` forces `fault` in the lanes of `mask`
+    /// only; the other lanes compute the good circuit. A fault takes
+    /// effect where its net is assigned, as in the scalar
+    /// [`crate::FaultSim::eval_with_faults`]: primary inputs and
+    /// combinational gate outputs. DFF outputs (constant-zero
+    /// pseudo-inputs) and undriven nets are never forced. When sites on
+    /// one net overlap, the last one listed wins in the shared lanes.
+    ///
+    /// With no sites this is the plain packed evaluation at width `W`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs` does not match the number of primary inputs.
+    pub fn eval_forced_into<W: SimWord>(
+        &self,
+        inputs: &[W],
+        sites: &[(Fault, W)],
+        values: &mut Vec<W>,
+    ) {
+        assert_eq!(inputs.len(), self.nl.inputs().len(), "input width mismatch");
+        let forcings = forcings(sites);
+        // one bit per net: the per-gate check is a load and a shift
+        let mut marked = Vec::new();
+        if !forcings.is_empty() {
+            marked = vec![0u64; self.nl.num_nets().div_ceil(64)];
+            for f in &forcings {
+                marked[f.net as usize >> 6] |= 1u64 << (f.net & 63);
+            }
+        }
+        let force = |ni: usize, computed: W| -> W {
+            if marked
+                .get(ni >> 6)
+                .is_some_and(|w| (w >> (ni & 63)) & 1 == 1)
+            {
+                let k = forcings
+                    .binary_search_by_key(&(ni as u32), |f| f.net)
+                    .expect("marked nets have a forcing");
+                forcings[k].apply(computed)
+            } else {
+                computed
+            }
+        };
+        values.clear();
+        values.resize(self.nl.num_nets(), W::ZERO);
+        for (k, &pi) in self.nl.inputs().iter().enumerate() {
+            values[pi.index()] = force(pi.index(), inputs[k]);
+        }
+        for &gid in &self.order {
+            let g = self.nl.gate(gid);
+            let oi = g.output.index();
+            values[oi] = force(oi, eval_gate_w(g, values));
+        }
+    }
+
     /// Extracts the packed primary-output words from a per-net vector
-    /// returned by [`PackedSim::eval`].
-    pub fn outputs(&self, net_values: &[u64]) -> Vec<u64> {
+    /// returned by [`PackedSim::eval`] or [`PackedSim::eval_forced_into`].
+    pub fn outputs<W: SimWord>(&self, net_values: &[W]) -> Vec<W> {
         self.nl
             .outputs()
             .iter()
@@ -260,6 +355,58 @@ mod tests {
         let nets = sim.eval(&[0b10]);
         let outs = sim.outputs(&nets);
         assert_eq!(outs[0] & 0b11, 0b10);
+    }
+
+    #[test]
+    fn forced_lanes_match_scalar_eval_with_faults() {
+        use crate::simword::Lane256;
+        use crate::FaultSim;
+        use seceda_netlist::{CellKind, NetId};
+        use seceda_testkit::rng::{Rng, SeedableRng, StdRng};
+        // c17 plus a DFF whose output and undriven input are fault sites
+        let mut nl = c17();
+        let d = nl.add_net();
+        let q = nl.add_gate(CellKind::Dff, &[d]);
+        let y = nl.add_gate(CellKind::Xor, &[nl.outputs()[0].0, q]);
+        nl.mark_output(y, "y");
+        let sim = PackedSim::new(&nl).expect("sim");
+        let scalar = FaultSim::new(&nl).expect("sim");
+        let mut rng = StdRng::seed_from_u64(3);
+        let kinds = [FaultKind::StuckAt0, FaultKind::StuckAt1, FaultKind::BitFlip];
+        // 32 shots of 8 lanes each; a shot lists 1..=4 faults, repeats allowed
+        let shots: Vec<Vec<Fault>> = (0..32)
+            .map(|_| {
+                (0..rng.gen_range(1..5usize))
+                    .map(|_| Fault {
+                        net: NetId::from_index(rng.gen_range(0..nl.num_nets())),
+                        kind: kinds[rng.gen_range(0..3usize)],
+                    })
+                    .collect()
+            })
+            .collect();
+        let patterns: Vec<Vec<bool>> = (0..256)
+            .map(|_| (0..nl.inputs().len()).map(|_| rng.gen()).collect())
+            .collect();
+        let words = pack_patterns_w::<Lane256>(&patterns, nl.inputs().len());
+        let sites: Vec<(Fault, Lane256)> = shots
+            .iter()
+            .enumerate()
+            .flat_map(|(s, faults)| {
+                let mask = (8 * s..8 * s + 8).fold(Lane256::ZERO, |m, l| {
+                    m.with_lane(l / 64, m.lane(l / 64) | 1 << (l % 64))
+                });
+                faults.iter().map(move |&f| (f, mask))
+            })
+            .collect();
+        let mut values = vec![Lane256::ONES; 3]; // stale contents are overwritten
+        sim.eval_forced_into(&words, &sites, &mut values);
+        for (p, pattern) in patterns.iter().enumerate() {
+            let expected = scalar.eval_with_faults(pattern, &shots[p / 8]);
+            for (n, &want) in expected.iter().enumerate() {
+                let got = (values[n].lane(p / 64) >> (p % 64)) & 1 == 1;
+                assert_eq!(got, want, "pattern {p} net {n}");
+            }
+        }
     }
 
     #[test]

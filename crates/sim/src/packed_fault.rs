@@ -35,9 +35,7 @@
 //! effect.
 
 use crate::fault::{Fault, FaultKind};
-use crate::packed::{
-    eval_gate, eval_gate_w, eval_nets_w, pack_patterns, pack_patterns_w, PackedSim,
-};
+use crate::packed::{eval_gate_w, pack_patterns, pack_patterns_w, PackedSim};
 use crate::simword::{Lane256, SimWord};
 use seceda_netlist::{Netlist, NetlistError};
 use seceda_testkit::par;
@@ -360,7 +358,8 @@ impl<'a> PackedFaultSim<'a> {
             if batch.len() > 64 {
                 // wide mode: patterns fill every lane, one fault per pass
                 let words = pack_patterns_w::<W>(batch, num_inputs);
-                let good = eval_nets_w(self.nl, self.sim.order(), &words);
+                let mut good = Vec::new();
+                self.sim.eval_forced_into(&words, &[], &mut good);
                 let mask = W::low_mask(batch.len());
                 seceda_trace::gauge("sim.par_workers", par::workers_for(active.len()) as f64);
                 let results = par::par_map_init(
@@ -510,42 +509,18 @@ impl<'a> PackedFaultSim<'a> {
     }
 
     /// Evaluates 64 patterns of the *faulty* circuit and returns the
-    /// packed primary-output words, mirroring the scalar
-    /// [`crate::FaultSim::eval_with_faults`] semantics bit for bit:
-    /// faults take effect at the moment a net is assigned (primary
-    /// inputs and combinational gate outputs; the last fault listed for
-    /// a net wins), so BIST signatures over packed batches equal the
-    /// scalar per-pattern signatures.
+    /// packed primary-output words: every fault forced in every lane by
+    /// [`PackedSim::eval_forced_into`], which mirrors the scalar
+    /// [`crate::FaultSim::eval_with_faults`] semantics bit for bit.
     ///
     /// # Panics
     ///
     /// Panics on input width mismatch.
     pub fn eval_outputs_with_faults(&self, inputs: &[u64], faults: &[Fault]) -> Vec<u64> {
-        assert_eq!(inputs.len(), self.nl.inputs().len(), "input width mismatch");
-        let mut forced: Vec<Option<FaultKind>> = vec![None; self.nl.num_nets()];
-        for f in faults {
-            forced[f.net.index()] = Some(f.kind);
-        }
-        let mut values = vec![0u64; self.nl.num_nets()];
-        for (k, &pi) in self.nl.inputs().iter().enumerate() {
-            values[pi.index()] = match forced[pi.index()] {
-                Some(kind) => apply_fault(kind, inputs[k]),
-                None => inputs[k],
-            };
-        }
-        for &gid in self.sim.order() {
-            let g = self.nl.gate(gid);
-            let good = eval_gate(g, &values);
-            values[g.output.index()] = match forced[g.output.index()] {
-                Some(kind) => apply_fault(kind, good),
-                None => good,
-            };
-        }
-        self.nl
-            .outputs()
-            .iter()
-            .map(|&(n, _)| values[n.index()])
-            .collect()
+        let sites: Vec<(Fault, u64)> = faults.iter().map(|&f| (f, u64::MAX)).collect();
+        let mut values = Vec::new();
+        self.sim.eval_forced_into(inputs, &sites, &mut values);
+        self.sim.outputs(&values)
     }
 }
 

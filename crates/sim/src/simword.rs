@@ -52,6 +52,9 @@ pub trait SimWord:
     /// `true` if any bit is set.
     fn any(self) -> bool;
 
+    /// Number of set bits over every lane.
+    fn count_ones(self) -> u32;
+
     /// Per-bit multiplexer: bit *k* of the result is `b` where `s` is
     /// set, `a` where it is clear.
     fn mux(s: Self, a: Self, b: Self) -> Self {
@@ -95,6 +98,10 @@ impl SimWord for u64 {
 
     fn any(self) -> bool {
         self != 0
+    }
+
+    fn count_ones(self) -> u32 {
+        u64::count_ones(self)
     }
 }
 
@@ -171,6 +178,10 @@ impl SimWord for Lane256 {
     fn any(self) -> bool {
         (self.0[0] | self.0[1] | self.0[2] | self.0[3]) != 0
     }
+
+    fn count_ones(self) -> u32 {
+        self.0.iter().map(|w| w.count_ones()).sum()
+    }
 }
 
 #[cfg(test)]
@@ -200,6 +211,8 @@ mod tests {
         assert_eq!(w.lane(1), 7);
         assert!(w.any());
         assert!(!Lane256::ZERO.any());
+        assert_eq!(w.count_ones(), 3 * 3 + 2);
+        assert_eq!(Lane256::ONES.count_ones(), 256);
     }
 
     #[test]

@@ -157,6 +157,19 @@ pub fn time_median<R>(samples: usize, mut f: impl FnMut() -> R) -> (u128, R) {
     (times[times.len() / 2], last.expect("at least one sample"))
 }
 
+/// [`time_median`] after `warmups` untimed runs of `f`, so the timed
+/// samples see warm caches and a settled allocator.
+///
+/// # Panics
+///
+/// Panics if `samples` is zero.
+pub fn time_median_warm<R>(warmups: usize, samples: usize, mut f: impl FnMut() -> R) -> (u128, R) {
+    for _ in 0..warmups {
+        std::hint::black_box(f());
+    }
+    time_median(samples, f)
+}
+
 /// Resolves the build's `target` directory. Cargo runs test and bench
 /// binaries with the *package* root as cwd, so a relative `target/`
 /// would scatter files across crate dirs; instead walk up from the

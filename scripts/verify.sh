@@ -28,6 +28,7 @@ cargo test -q --offline
 echo "==> differential suites in release mode"
 cargo test -q --release --offline -p seceda-core --test sat_clients --test incremental_compose
 cargo test -q --release --offline -p seceda-sim --test packed_fault
+cargo test -q --release --offline -p seceda-fia --test packed_analysis
 cargo test -q --release --offline -p seceda-lock --test properties
 
 # The chaos suite runs once per pinned seed with the harness
